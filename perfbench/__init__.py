@@ -1,0 +1,6 @@
+"""The repository benchmark: ``build``, ``read`` and ``churn`` workloads.
+
+Run one workload with ``python3 perfbench/run.py --workload <name>
+--seed <n> --seconds <s> --trace <0|1>`` from the repository root; see
+``perfbench/README.md`` for what each workload and metric means.
+"""
