@@ -1,7 +1,5 @@
 """Baseline KNN-graph builders: brute force, Hyrec, NN-Descent, LSH."""
 
-# .base must be imported before .lsh: repro.core depends on .base, and
-# .lsh depends on repro.core, so this order keeps the cycle harmless.
 from ..result import BuildResult, track_build
 from .brute_force import brute_force_knn
 from .hyrec import hyrec_knn

@@ -4,23 +4,20 @@ Starts from a random k-degree graph and iteratively compares each user
 ``u`` against her *neighbours' neighbours* (unlike NN-Descent, which
 compares neighbours among themselves). Each computed similarity updates
 both endpoints' heaps. Terminates when the number of heap updates in an
-iteration falls below ``δ k n`` or after ``max_iterations``.
+iteration falls below ``δ k n`` or after ``max_iterations``. The passes
+are :func:`repro.core.local_knn.hyrec_graph` over all users, the same
+code C² runs on clusters too large for brute force.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..graph.heap import EMPTY
-from ..graph.knn_graph import KNNGraph, random_graph
+from ..core.local_knn import hyrec_graph
 from ..similarity.engine import SimilarityEngine
 from ..result import BuildResult, track_build
 
 __all__ = ["hyrec_knn"]
-
-# Reverse (symmetric) updates are buffered and applied in groups of
-# this many users to bound the buffer while keeping updates vectorised.
-_FLUSH_EVERY = 256
 
 
 def hyrec_knn(
@@ -31,78 +28,15 @@ def hyrec_knn(
     seed: int = 0,
 ) -> BuildResult:
     """Build an approximate KNN graph with Hyrec."""
-    n = engine.n_users
-    updates_log: list[int] = []
-
     with track_build(engine) as info:
-        graph = random_graph(engine, k, seed)
-        iterations = 0
-        for _ in range(max_iterations):
-            iterations += 1
-            updates = _iterate(engine, graph, k)
-            updates_log.append(updates)
-            if updates < delta * k * n:
-                break
+        graph, updates_log = hyrec_graph(
+            engine, np.arange(engine.n_users), k, delta, max_iterations, seed
+        )
 
     return BuildResult(
         graph=graph,
         seconds=info["seconds"],
         comparisons=info["comparisons"],
-        iterations=iterations,
+        iterations=len(updates_log),
         extra={"updates_per_iteration": updates_log},
     )
-
-
-def _iterate(engine: SimilarityEngine, graph: KNNGraph, k: int) -> int:
-    """One Hyrec pass over all users; returns the number of updates."""
-    n = graph.n_users
-    updates = 0
-    rev_t: list[np.ndarray] = []
-    rev_s: list[np.ndarray] = []
-    rev_sc: list[np.ndarray] = []
-
-    for u in range(n):
-        nbrs = graph.neighbors(u)
-        if nbrs.size == 0:
-            continue
-        non = graph.heaps.ids[nbrs]
-        cands = np.unique(non[non != EMPTY]).astype(np.int64)
-        cands = cands[(cands != u) & ~np.isin(cands, nbrs)]
-        if cands.size == 0:
-            continue
-        scores = engine.one_to_many(u, cands)
-        updates += graph.add_batch(u, cands, scores)
-        rev_t.append(cands)
-        rev_s.append(np.full(cands.size, u, dtype=np.int64))
-        rev_sc.append(scores)
-        if len(rev_t) >= _FLUSH_EVERY:
-            updates += _flush_reverse(graph, rev_t, rev_s, rev_sc)
-
-    updates += _flush_reverse(graph, rev_t, rev_s, rev_sc)
-    return updates
-
-
-def _flush_reverse(
-    graph: KNNGraph,
-    targets: list[np.ndarray],
-    sources: list[np.ndarray],
-    scores: list[np.ndarray],
-) -> int:
-    """Apply buffered symmetric updates grouped by target; clears buffers."""
-    if not targets:
-        return 0
-    t = np.concatenate(targets)
-    s = np.concatenate(sources)
-    sc = np.concatenate(scores)
-    targets.clear()
-    sources.clear()
-    scores.clear()
-    order = np.argsort(t, kind="stable")
-    t, s, sc = t[order], s[order], sc[order]
-    boundaries = np.flatnonzero(np.diff(t)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [t.size]])
-    updates = 0
-    for lo, hi in zip(starts, ends):
-        updates += graph.add_batch(int(t[lo]), s[lo:hi], sc[lo:hi])
-    return updates

@@ -21,7 +21,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.heap import EMPTY
-from ..graph.knn_graph import KNNGraph, random_graph
+from ..graph.knn_graph import KNNGraph, group_by_value, random_graph
 from ..similarity.engine import SimilarityEngine
 from ..result import BuildResult, track_build
 
@@ -72,20 +72,12 @@ def nndescent_knn(
 def _reverse_lists(graph: KNNGraph) -> list[np.ndarray]:
     """Reverse adjacency: ``rev[v]`` = users that list ``v``."""
     n = graph.n_users
-    ids = graph.heaps.ids
+    flat = graph.heaps.ids.ravel().astype(np.int64)
     owners = np.repeat(np.arange(n, dtype=np.int64), graph.k)
-    flat = ids.ravel().astype(np.int64)
     valid = flat != EMPTY
-    flat, owners = flat[valid], owners[valid]
-    order = np.argsort(flat, kind="stable")
-    flat, owners = flat[order], owners[order]
     rev: list[np.ndarray] = [np.empty(0, dtype=np.int64)] * n
-    if flat.size:
-        boundaries = np.flatnonzero(np.diff(flat)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [flat.size]])
-        for lo, hi in zip(starts, ends):
-            rev[int(flat[lo])] = owners[lo:hi]
+    for v, holders in group_by_value(owners[valid], flat[valid]):
+        rev[v] = holders
     return rev
 
 
@@ -96,6 +88,39 @@ def _sample(rng: np.random.Generator, pool: np.ndarray, limit: int) -> np.ndarra
     return rng.choice(pool, size=limit, replace=False)
 
 
+def _join_lists(
+    u: int,
+    graph: KNNGraph,
+    rev: list[np.ndarray],
+    new_flags: list[set[int]],
+    limit: int,
+    rng: np.random.Generator,
+) -> tuple[np.ndarray, np.ndarray]:
+    """``u``'s sampled new and old candidate lists (new is empty: no join)."""
+    fwd = graph.neighbors(u).astype(np.int64)
+    if fwd.size == 0:
+        return fwd, fwd
+    flags_u = new_flags[u]
+    fwd_new = np.array([v for v in fwd if int(v) in flags_u], dtype=np.int64)
+    fwd_old = np.setdiff1d(fwd, fwd_new, assume_unique=False)
+
+    rev_u = rev[u]
+    rev_new_mask = np.array([int(v) for v in rev_u if u in new_flags[int(v)]], dtype=np.int64)
+    rev_old_pool = np.setdiff1d(rev_u, rev_new_mask, assume_unique=False)
+
+    l_new = np.unique(
+        np.concatenate([_sample(rng, fwd_new, limit), _sample(rng, rev_new_mask, limit)])
+    )
+    l_new = l_new[l_new != u]
+    if l_new.size == 0:
+        return l_new, l_new
+    l_old = np.unique(
+        np.concatenate([_sample(rng, fwd_old, limit), _sample(rng, rev_old_pool, limit)])
+    )
+    l_old = np.setdiff1d(l_old, l_new, assume_unique=False)
+    return l_new, l_old[l_old != u]
+
+
 def _iterate(
     engine: SimilarityEngine,
     graph: KNNGraph,
@@ -104,7 +129,13 @@ def _iterate(
     sample_rate: float,
     rng: np.random.Generator,
 ) -> tuple[int, list[set[int]]]:
-    """One NN-Descent local-join pass; returns (updates, next new flags)."""
+    """One NN-Descent local-join pass; returns (updates, next new flags).
+
+    Each joined pair updates both endpoints: the forward offers at
+    once, the reverse offers buffered and handed to
+    :meth:`KNNGraph.add_grouped` once ``_FLUSH_EVERY`` joined rows have
+    accumulated.
+    """
     n = graph.n_users
     limit = max(1, int(round(sample_rate * k)))
     rev = _reverse_lists(graph)
@@ -112,73 +143,31 @@ def _iterate(
     # Flags for neighbours inserted during *this* iteration.
     next_flags: list[set[int]] = [set() for _ in range(n)]
     updates = 0
-    rev_t: list[np.ndarray] = []
-    rev_s: list[np.ndarray] = []
-    rev_sc: list[np.ndarray] = []
-
-    def flush() -> int:
-        nonlocal rev_t, rev_s, rev_sc
-        if not rev_t:
-            return 0
-        t = np.concatenate(rev_t)
-        s = np.concatenate(rev_s)
-        sc = np.concatenate(rev_sc)
-        rev_t, rev_s, rev_sc = [], [], []
-        order = np.argsort(t, kind="stable")
-        t, s, sc = t[order], s[order], sc[order]
-        boundaries = np.flatnonzero(np.diff(t)) + 1
-        starts = np.concatenate([[0], boundaries])
-        ends = np.concatenate([boundaries, [t.size]])
-        count = 0
-        for lo, hi in zip(starts, ends):
-            target = int(t[lo])
-            inserted = graph.add_batch_ids(target, s[lo:hi], sc[lo:hi])
-            next_flags[target].update(map(int, inserted))
-            count += int(inserted.size)
-        return count
+    reverse: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
 
     for u in range(n):
-        fwd = graph.neighbors(u).astype(np.int64)
-        if fwd.size == 0:
-            continue
-        flags_u = new_flags[u]
-        fwd_new = np.array([v for v in fwd if int(v) in flags_u], dtype=np.int64)
-        fwd_old = np.setdiff1d(fwd, fwd_new, assume_unique=False)
+        l_new, l_old = _join_lists(u, graph, rev, new_flags, limit, rng)
+        if l_new.size:
+            pool = np.concatenate([l_new, l_old])
+            # Local join: new x (new ∪ old). Compute the block once and
+            # charge the number of *distinct* pairs actually joined.
+            scores = engine.block(l_new, pool, counted=False)
+            engine.charge(l_new.size * l_old.size + l_new.size * (l_new.size - 1) // 2)
 
-        rev_u = rev[u]
-        rev_new_mask = np.array([int(v) for v in rev_u if u in new_flags[int(v)]], dtype=np.int64)
-        rev_old_pool = np.setdiff1d(rev_u, rev_new_mask, assume_unique=False)
+            for pos, x in enumerate(l_new):
+                row = scores[pos]
+                others = pool != x
+                inserted = graph.add_batch_ids(int(x), pool[others], row[others])
+                next_flags[int(x)].update(map(int, inserted))
+                updates += int(inserted.size)
+                reverse.append(
+                    (pool[others], np.full(int(others.sum()), int(x), dtype=np.int64), row[others])
+                )
 
-        l_new = np.unique(
-            np.concatenate([_sample(rng, fwd_new, limit), _sample(rng, rev_new_mask, limit)])
-        )
-        l_new = l_new[l_new != u]
-        if l_new.size == 0:
-            continue
-        l_old = np.unique(
-            np.concatenate([_sample(rng, fwd_old, limit), _sample(rng, rev_old_pool, limit)])
-        )
-        l_old = np.setdiff1d(l_old, l_new, assume_unique=False)
-        l_old = l_old[l_old != u]
+        if reverse and (len(reverse) >= _FLUSH_EVERY or u == n - 1):
+            for target, inserted in graph.add_grouped(*map(np.concatenate, zip(*reverse))):
+                next_flags[target].update(map(int, inserted))
+                updates += int(inserted.size)
+            reverse.clear()
 
-        pool = np.concatenate([l_new, l_old])
-        # Local join: new x (new ∪ old). Compute the block once and
-        # charge the number of *distinct* pairs actually joined.
-        scores = engine.block(l_new, pool, counted=False)
-        engine.charge(l_new.size * l_old.size + l_new.size * (l_new.size - 1) // 2)
-
-        for pos, x in enumerate(l_new):
-            row = scores[pos]
-            others = pool != x
-            inserted = graph.add_batch_ids(int(x), pool[others], row[others])
-            next_flags[int(x)].update(map(int, inserted))
-            updates += int(inserted.size)
-            rev_t.append(pool[others])
-            rev_s.append(np.full(int(others.sum()), int(x), dtype=np.int64))
-            rev_sc.append(row[others])
-
-        if len(rev_t) >= _FLUSH_EVERY:
-            updates += flush()
-
-    updates += flush()
     return updates, next_flags

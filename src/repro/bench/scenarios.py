@@ -680,9 +680,9 @@ class DriftTracker:
         self.curve.append({
             "op": self.n_ops,
             "recall": round(float(np.mean(recalls)), 4),
-            "resplits": stats.get("n_resplits", 0),
-            "oversized": stats.get("n_oversized", 0),
-            "max_cluster": stats.get("max_cluster_size", 0),
+            "resplits": stats["resplits_total"],
+            "oversized": stats["oversized"],
+            "max_cluster": stats["max_cluster_size"],
         })
         return self.curve[-1]["recall"]
 

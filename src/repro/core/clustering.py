@@ -9,6 +9,7 @@ from dataclasses import dataclass, replace
 import numpy as np
 
 from ..data.dataset import Dataset
+from ..graph.knn_graph import group_by_value
 from .fastrandomhash import UNDEFINED, FastRandomHash
 from .hashing import GenerativeHash, MinHashPermutation
 
@@ -16,7 +17,6 @@ __all__ = [
     "Cluster",
     "ClusteringResult",
     "cluster_dataset",
-    "group_by_value",
     "minhash_cluster_dataset",
 ]
 
@@ -81,23 +81,6 @@ class ClusteringResult:
     def config_clusters(self, config: int) -> list[Cluster]:
         """Clusters belonging to hashing configuration ``config``."""
         return [c for c in self.clusters if c.config == config]
-
-
-def group_by_value(users: np.ndarray, values: np.ndarray) -> list[tuple[int, np.ndarray]]:
-    """Group ``users`` by their hash ``values``; returns (value, users) pairs.
-
-    Groups come back in ascending hash-value order; within a group the
-    original order of ``users`` is preserved (stable sort). Shared by
-    the batch splitter below and the online re-split
-    (:meth:`repro.online.OnlineIndex._resplit`), which relies on the
-    order guarantee to keep primary and replica member lists identical.
-    """
-    order = np.argsort(values, kind="stable")
-    users, values = users[order], values[order]
-    boundaries = np.flatnonzero(np.diff(values)) + 1
-    groups = np.split(users, boundaries)
-    keys = values[np.concatenate([[0], boundaries])] if users.size else []
-    return [(int(k), g) for k, g in zip(keys, groups)]
 
 
 def split_cluster(

@@ -13,12 +13,15 @@ from __future__ import annotations
 import numpy as np
 
 from ..graph.heap import EMPTY
-from ..graph.knn_graph import KNNGraph
+from ..graph.knn_graph import KNNGraph, random_graph
 from ..similarity.engine import SimilarityEngine
 
-__all__ = ["PartialKNN", "solve_cluster", "brute_force_local", "hyrec_local"]
+__all__ = ["PartialKNN", "solve_cluster", "brute_force_local", "hyrec_graph", "hyrec_local"]
 
 _ROW_BLOCK = 512
+# Hyrec's reverse (symmetric) updates are buffered and applied in
+# groups of this many users.
+_FLUSH_EVERY = 256
 
 
 class PartialKNN:
@@ -68,6 +71,59 @@ def brute_force_local(engine: SimilarityEngine, users: np.ndarray, k: int) -> Pa
     return PartialKNN(users, ids, scores)
 
 
+def hyrec_graph(
+    engine: SimilarityEngine,
+    users: np.ndarray,
+    k: int,
+    delta: float = 0.001,
+    max_iterations: int = 30,
+    seed: int = 0,
+) -> tuple[KNNGraph, list[int]]:
+    """Hyrec (greedy neighbours-of-neighbours) over ``users``.
+
+    Node ``i`` of the returned graph is user ``users[i]``; similarities
+    are evaluated on the global engine. Starts from :func:`random_graph`
+    and stops after a pass with fewer than ``δ k |users|`` heap updates
+    or after ``max_iterations`` passes. Returns the graph and the
+    number of updates of each pass. Both the Hyrec baseline (over all
+    users) and :func:`hyrec_local` run this.
+    """
+    graph = random_graph(engine, k, seed, users)
+    updates_log: list[int] = []
+    for _ in range(max_iterations):
+        updates_log.append(_hyrec_pass(engine, graph, users))
+        if updates_log[-1] < delta * k * users.size:
+            break
+    return graph, updates_log
+
+
+def _hyrec_pass(engine: SimilarityEngine, graph: KNNGraph, users: np.ndarray) -> int:
+    """One Hyrec pass over every node; returns the number of updates.
+
+    Each computed similarity updates both endpoints: the forward offer
+    at once, the reverse offers buffered and handed to
+    :meth:`KNNGraph.add_grouped` every ``_FLUSH_EVERY`` users, which
+    bounds the buffer while keeping the updates vectorised.
+    """
+    last = graph.n_users - 1
+    updates = 0
+    reverse: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    for u in range(graph.n_users):
+        nbrs = graph.neighbors(u)
+        non = graph.heaps.ids[nbrs]
+        cands = np.unique(non[non != EMPTY]).astype(np.int64)
+        cands = cands[(cands != u) & ~np.isin(cands, nbrs)]
+        if cands.size:
+            scores = engine.one_to_many(int(users[u]), users[cands])
+            updates += graph.add_batch(u, cands, scores)
+            reverse.append((cands, np.full(cands.size, u, dtype=np.int64), scores))
+        if reverse and (len(reverse) >= _FLUSH_EVERY or u == last):
+            offers = graph.add_grouped(*map(np.concatenate, zip(*reverse)))
+            updates += sum(inserted.size for _, inserted in offers)
+            reverse.clear()
+    return updates
+
+
 def hyrec_local(
     engine: SimilarityEngine,
     users: np.ndarray,
@@ -76,75 +132,16 @@ def hyrec_local(
     max_iterations: int = 30,
     seed: int = 0,
 ) -> PartialKNN:
-    """Hyrec restricted to a cluster (greedy neighbours-of-neighbours).
+    """Hyrec restricted to a cluster, as a :class:`PartialKNN`.
 
-    Used when a cluster is too large for brute force. Operates on a
-    local index space; similarities are evaluated on the global engine.
+    Used when a cluster is too large for brute force; see
+    :func:`hyrec_graph`.
     """
     users = np.asarray(users, dtype=np.int64)
-    c = users.size
-    graph = KNNGraph(c, k)
-    rng = np.random.default_rng(seed)
-
-    # Random initial k-degree graph within the cluster.
-    for lu in range(c):
-        take = min(k, c - 1)
-        if take <= 0:
-            continue
-        cands = rng.choice(c - 1, size=take, replace=False)
-        cands[cands >= lu] += 1
-        sims = engine.one_to_many(int(users[lu]), users[cands])
-        graph.add_batch(lu, cands, sims)
-
-    for _ in range(max_iterations):
-        updates = 0
-        rev_targets: list[np.ndarray] = []
-        rev_sources: list[np.ndarray] = []
-        rev_scores: list[np.ndarray] = []
-        for lu in range(c):
-            nbrs = graph.neighbors(lu)
-            if nbrs.size == 0:
-                continue
-            non = graph.heaps.ids[nbrs]
-            cands = np.unique(non[non != EMPTY])
-            cands = cands[(cands != lu) & ~np.isin(cands, nbrs)]
-            if cands.size == 0:
-                continue
-            sims = engine.one_to_many(int(users[lu]), users[cands])
-            updates += graph.add_batch(lu, cands, sims)
-            rev_targets.append(cands)
-            rev_sources.append(np.full(cands.size, lu, dtype=np.int64))
-            rev_scores.append(sims)
-        updates += _apply_reverse(graph, rev_targets, rev_sources, rev_scores)
-        if updates < delta * k * c:
-            break
-
+    graph, _ = hyrec_graph(engine, users, k, delta, max_iterations, seed)
     ids, scores = graph.to_arrays()
     global_ids = np.where(ids != EMPTY, users[np.clip(ids, 0, None)], EMPTY).astype(np.int32)
     return PartialKNN(users, global_ids, scores)
-
-
-def _apply_reverse(
-    graph: KNNGraph,
-    targets: list[np.ndarray],
-    sources: list[np.ndarray],
-    scores: list[np.ndarray],
-) -> int:
-    """Apply accumulated symmetric updates, grouped per target user."""
-    if not targets:
-        return 0
-    t = np.concatenate(targets)
-    s = np.concatenate(sources)
-    sc = np.concatenate(scores)
-    order = np.argsort(t, kind="stable")
-    t, s, sc = t[order], s[order], sc[order]
-    boundaries = np.flatnonzero(np.diff(t)) + 1
-    starts = np.concatenate([[0], boundaries])
-    ends = np.concatenate([boundaries, [t.size]])
-    updates = 0
-    for lo, hi in zip(starts, ends):
-        updates += graph.add_batch(int(t[lo]), s[lo:hi], sc[lo:hi])
-    return updates
 
 
 def solve_cluster(

@@ -7,7 +7,25 @@ import numpy as np
 from ..similarity.engine import SimilarityEngine
 from .heap import EMPTY, NeighborHeaps
 
-__all__ = ["KNNGraph", "random_graph"]
+__all__ = ["KNNGraph", "group_by_value", "random_graph"]
+
+
+def group_by_value(users: np.ndarray, values: np.ndarray) -> list[tuple[int, np.ndarray]]:
+    """Group ``users`` by their ``values``; returns (value, users) pairs.
+
+    Groups come back in ascending value order; within a group the
+    original order of ``users`` is preserved (stable sort). Shared by
+    the batch cluster splitter, the online re-split
+    (:meth:`repro.online.OnlineIndex._resplit`, which relies on the
+    order guarantee to keep primary and replica member lists
+    identical), :meth:`KNNGraph.add_grouped` and the C² merge.
+    """
+    order = np.argsort(values, kind="stable")
+    users, values = users[order], values[order]
+    boundaries = np.flatnonzero(np.diff(values)) + 1
+    groups = np.split(users, boundaries)
+    keys = values[np.concatenate([[0], boundaries])] if users.size else []
+    return [(int(k), g) for k, g in zip(keys, groups)]
 
 
 class KNNGraph:
@@ -52,6 +70,22 @@ class KNNGraph:
     def add_batch_ids(self, u: int, cands: np.ndarray, scores: np.ndarray) -> np.ndarray:
         """Like :meth:`add_batch` but returns the inserted neighbour ids."""
         return self.heaps.push_batch(u, cands, scores)
+
+    def add_grouped(
+        self, targets: np.ndarray, sources: np.ndarray, scores: np.ndarray
+    ) -> list[tuple[int, np.ndarray]]:
+        """Offer edge ``targets[i] -> sources[i]`` with ``scores[i]`` for every ``i``.
+
+        The offers are grouped by target and each target gets a single
+        ``NeighborHeaps.push_batch`` call with its offers in input
+        order, so the bounded-heap rule stays in one place. Returns ``(target,
+        inserted ids)`` per target, in ascending target order.
+        """
+        sources, scores = np.asarray(sources), np.asarray(scores)
+        return [
+            (t, self.heaps.push_batch(t, sources[pos], scores[pos]))
+            for t, pos in group_by_value(np.arange(sources.size), np.asarray(targets))
+        ]
 
     # -- incremental maintenance (online-update subsystem) ---------------
 
@@ -120,15 +154,22 @@ class KNNGraph:
         return g
 
 
-def random_graph(engine: SimilarityEngine, k: int, seed: int = 0) -> KNNGraph:
+def random_graph(
+    engine: SimilarityEngine, k: int, seed: int = 0, users: np.ndarray | None = None
+) -> KNNGraph:
     """The random ``k``-degree starting graph of greedy algorithms.
 
     Each user gets ``k`` distinct random neighbours with their true
     (engine-scored, counted) similarities — the paper's "initial random
     k-degree graph" whose poor graph locality C² is designed to fix.
+    ``users`` (default: all of them) is the node set: node ``i`` of the
+    returned graph is user ``users[i]``, which is how a cluster-local
+    solver starts from the same initialisation.
     """
     rng = np.random.default_rng(seed)
-    n = engine.n_users
+    if users is None:
+        users = np.arange(engine.n_users)
+    n = users.size
     graph = KNNGraph(n, k)
     for u in range(n):
         take = min(k, n - 1)
@@ -136,6 +177,6 @@ def random_graph(engine: SimilarityEngine, k: int, seed: int = 0) -> KNNGraph:
             continue
         cands = rng.choice(n - 1, size=take, replace=False)
         cands[cands >= u] += 1  # skip u itself
-        scores = engine.one_to_many(u, cands)
+        scores = engine.one_to_many(int(users[u]), users[cands])
         graph.add_batch(u, cands, scores)
     return graph

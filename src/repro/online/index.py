@@ -51,12 +51,12 @@ import numpy as np
 from .. import obs
 from .._sync import RWLock
 from ..core.cluster_and_conquer import cluster_and_conquer
-from ..core.clustering import group_by_value
 from ..core.config import C2Params
 from ..core.fastrandomhash import UNDEFINED
 from ..deltas.bus import Delta, DeltaBus
 from ..deltas.view import CallbackView, DerivedView, ReplicaDeltaView
 from ..graph.heap import EMPTY
+from ..graph.knn_graph import group_by_value
 from ..graph.reverse import ReverseAdjacency
 from ..result import BuildResult
 from ..similarity.engine import SimilarityEngine, make_engine
@@ -241,10 +241,6 @@ class OnlineIndex:
         self.deltas = DeltaBus(self)
         self.deltas.register(_ReverseView(self))
         self._legacy_views: dict = {}
-        # Payload of the most recent resplit event (back-compat; new
-        # consumers read ``delta.resplit`` off the published Delta) —
-        # safe because views run synchronously under the write lock.
-        self.last_resplit: dict | None = None
         self._bind_metrics()
         self._refiller = None  # lazily-built GraphSearcher (serve subsystem)
         self._reverse: ReverseAdjacency | None = None  # lazy, then maintained
@@ -1040,10 +1036,8 @@ class OnlineIndex:
             "members": [(int(c), list(self._members[c])) for c in sorted(touched)],
             "unsplittable": [int(c) for c in frozen],
         }
-        # Stashed for back-compat inspection; views read the same
-        # payload off ``delta.resplit`` — the result caches evict the
-        # touched-cluster lineages selectively from it.
-        self.last_resplit = payload
+        # Views read the payload off ``delta.resplit`` — the result
+        # caches evict the touched-cluster lineages selectively from it.
         self._notify("resplit", -1, resplit=payload)
 
     # ------------------------------------------------------------------

@@ -5,7 +5,25 @@ import pytest
 
 from repro.core import merge_partials
 from repro.core.local_knn import PartialKNN
+from repro.graph import KNNGraph
 from repro.graph.heap import EMPTY
+
+
+def _per_row_merge(partials, n_users, k):
+    """The reference merge: one push_batch per (partial, user)."""
+    graph = KNNGraph(n_users, k)
+    for partial in partials:
+        for pos, user in enumerate(partial.users):
+            ids, scores = partial.neighborhood(pos)
+            if ids.size:
+                graph.add_batch(int(user), ids, scores)
+    return graph
+
+
+def _row_maps(graph):
+    """Per-row {neighbour: score}, independent of slot order."""
+    return [dict(zip(*map(np.ndarray.tolist, graph.neighborhood(u))))
+            for u in range(graph.n_users)]
 
 
 def _partial(users, edges, k):
@@ -72,3 +90,30 @@ class TestMergePartials:
     def test_empty_partials(self):
         graph = merge_partials([], n_users=4, k=2)
         assert graph.edge_count() == 0
+
+    def test_matches_per_row_reference(self, rng):
+        """One grouped offer per user == the per-(partial, user) loop,
+        with one pair offered at different scores, EMPTY slots anywhere
+        in a row, and users in no partial."""
+        n, k, t = 40, 5, 30
+        partials = []
+        for _ in range(t):
+            # Users n-5 .. n-1 are never a cluster member.
+            users = rng.choice(n - 5, size=int(rng.integers(10, n - 5)), replace=False)
+            ids = np.full((users.size, k), EMPTY, dtype=np.int32)
+            scores = np.full((users.size, k), -np.inf, dtype=np.float64)
+            for pos, u in enumerate(users):
+                m = int(rng.integers(0, k + 1))
+                cands = rng.choice(n - 1, size=m, replace=False)
+                cands[cands >= u] += 1
+                slots = rng.permutation(k)[:m]
+                ids[pos, slots] = cands
+                # Coarse scores: ties, and the same pair at other scores.
+                scores[pos, slots] = rng.integers(0, 8, size=m) / 8
+            partials.append(PartialKNN(users.astype(np.int64), ids, scores))
+
+        got = merge_partials(partials, n_users=n, k=k)
+        want = _per_row_merge(partials, n_users=n, k=k)
+        assert _row_maps(got) == _row_maps(want)
+        assert got.edge_count() == want.edge_count()
+        assert all(not row for row in _row_maps(got)[n - 5:])

@@ -4,7 +4,7 @@ import numpy as np
 from hypothesis import given, settings
 from hypothesis import strategies as st
 
-from repro.graph import NeighborHeaps
+from repro.graph import KNNGraph, NeighborHeaps
 
 edge = st.tuples(st.integers(1, 30), st.floats(0.0, 1.0, allow_nan=False))
 
@@ -55,26 +55,40 @@ class TestHeapInvariants:
         assert set(h.neighbors(0).tolist()) == expected
 
     @given(
-        edges=st.lists(edge, min_size=1, max_size=40),
+        edges=st.lists(st.tuples(st.integers(0, 2), edge), min_size=1, max_size=40),
         k=st.integers(1, 6),
         split=st.integers(0, 40),
     )
     @settings(max_examples=80, deadline=None)
     def test_batch_split_invariance(self, edges, k, split):
         """Offering candidates in one batch or two must give the same
-        final neighbourhood (merge associativity)."""
-        cands = np.array([v for v, _ in edges], dtype=np.int64)
-        scores = np.array([s for _, s in edges], dtype=np.float64)
+        final neighbourhood (merge associativity); the grouped offer
+        equals one push_batch per target row."""
+        targets = np.array([u for u, _ in edges], dtype=np.int64)
+        cands = np.array([v for _, (v, _) in edges], dtype=np.int64)
+        scores = np.array([s for _, (_, s) in edges], dtype=np.float64)
         split = min(split, len(edges))
 
-        one = NeighborHeaps(1, k)
-        one.push_batch(0, cands, scores)
+        one = NeighborHeaps(3, k)
+        two = NeighborHeaps(3, k)
+        inserted_one = {}
+        for u in range(3):
+            mine = targets == u
+            if mine.any():
+                inserted_one[u] = one.push_batch(u, cands[mine], scores[mine])
+            head, tail = mine[:split], mine[split:]
+            two.push_batch(u, cands[:split][head], scores[:split][head])
+            two.push_batch(u, cands[split:][tail], scores[split:][tail])
 
-        two = NeighborHeaps(1, k)
-        two.push_batch(0, cands[:split], scores[:split])
-        two.push_batch(0, cands[split:], scores[split:])
+        grouped = KNNGraph(3, k)
+        inserted = dict(grouped.add_grouped(targets, cands, scores))
 
-        assert set(one.neighbors(0).tolist()) == set(two.neighbors(0).tolist())
+        assert one.edge_sets() == two.edge_sets()
+        assert np.array_equal(grouped.heaps.ids, one.ids)
+        assert np.array_equal(grouped.heaps.scores, one.scores)
+        assert inserted.keys() == inserted_one.keys()
+        for u, ids in inserted_one.items():
+            assert np.array_equal(inserted[u], ids)
 
     @given(edges=st.lists(edge, min_size=1, max_size=40), k=st.integers(1, 6))
     @settings(max_examples=60, deadline=None)

@@ -29,11 +29,12 @@ import numpy as np
 import pytest
 
 from repro import C2Params
-from repro.bench.scenarios import IndexWorld, make_scenario, play
+from repro.bench.scenarios import DriftTracker, IndexWorld, make_scenario, play
 from repro.core.clustering import Cluster, split_cluster
 from repro.data import SyntheticSpec, generate
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
+from repro.serve import GraphSearcher
 from repro.serve.replica import edge_digest
 
 K = 6
@@ -56,7 +57,7 @@ def _index(seed, auto_resplit=True):
     return OnlineIndex.build(dataset, params=params, auto_resplit=auto_resplit)
 
 
-def _churn(index, seed, n_ops=N_OPS):
+def _churn(index, seed, n_ops=N_OPS, tracker=None):
     """Drive the viral-bundle churn tape; returns the op count.
 
     ``IndexWorld`` without an engine skips query ops, so the tape is
@@ -65,7 +66,7 @@ def _churn(index, seed, n_ops=N_OPS):
     """
     world = IndexWorld(index)
     scenario = make_scenario("churn", n_ops, seed=seed, bundle_size=60)
-    return play(scenario, world)
+    return play(scenario, world, tracker)
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -135,6 +136,22 @@ def test_post_tape_size_invariant_and_assignment_bijection(seed):
         for config, cid in enumerate(index._assign[int(u)]):
             if cid >= 0:
                 assert int(u) in index._members[cid]
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_drift_curve_reads_index_stats(seed):
+    """The drift curve's re-split columns are the index's own counters."""
+    index = _index(seed)
+    probes = [index.dataset.profile(u) for u in range(3)]
+    tracker = DriftTracker(index, GraphSearcher(index), probes, k=5, window=N_OPS // 4)
+    _churn(index, seed, tracker=tracker)
+    stats = index.stats()
+    assert stats["resplits_total"] > 0
+    last = tracker.curve[-1]
+    assert last["op"] == N_OPS
+    assert (last["resplits"], last["oversized"], last["max_cluster"]) == (
+        stats["resplits_total"], stats["oversized"], stats["max_cluster_size"]
+    )
 
 
 @pytest.mark.parametrize("seed", SEEDS)
