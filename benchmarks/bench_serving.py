@@ -37,10 +37,8 @@ serves batches through a ``ShardedQueryEngine`` with N thread workers.
 by shipped journal deltas; combined with ``--mixed`` it runs the
 replica-tier benchmark (see ``run_replicas``) whose acceptance gate
 (full run, 5k users, 4 replicas) demands delta-only convergence with
-zero snapshot re-forks, recall@10 ≥ 0.9 through the replicas after the
-churn, and ≥ 1.5× the throughput of the single-shard PR-3 path of the
-same transport (for the default process transport: the snapshot worker
-that re-forks the whole pickled index after every mutation).
+zero resyncs, recall@10 ≥ 0.9 through the replicas after the churn,
+and ≥ 1.5× the throughput of the serial single engine.
 
 ``--scenario <name>`` runs the drift benchmark (see ``run_scenario``):
 one scenario from the adversarial/time-evolving suite
@@ -95,6 +93,7 @@ from repro.bench.scenarios import (
 from repro.bench.workloads import MixedWorkload
 from repro.data import SyntheticSpec, generate
 from repro.data.dataset import Dataset
+from repro.graph.heap import EMPTY, edge_digest
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
 from repro.serve import (
@@ -103,7 +102,6 @@ from repro.serve import (
     ShardedQueryEngine,
     brute_force_top_k,
 )
-from repro.serve.replica import edge_digest
 from repro.similarity import make_engine
 
 
@@ -167,31 +165,25 @@ def _searcher_kwargs(args, budget: int) -> dict:
 
 
 def run_replicas(args) -> int:
-    """The replica-tier benchmark: one mixed tape, four serving tiers.
+    """The replica-tier benchmark: one mixed tape, three serving tiers.
 
-    The same deterministic 90/10 op tape is served four ways:
+    The same deterministic 90/10 op tape is served three ways:
 
-    1. **single engine, serial** — the PR-3 thread-transport
-       single-shard path: one ``QueryEngine``, reads and writes
-       strictly interleaved;
-    2. **single process shard** — the PR-3 process-transport
-       single-shard path: a snapshot worker that **re-forks** the
-       whole pickled index on the first query after every mutation;
-    3. **shared-index shards, concurrent** — ``ShardedQueryEngine``
+    1. **single engine, serial** — one ``QueryEngine``, reads and
+       writes strictly interleaved;
+    2. **shared-index shards, concurrent** — ``ShardedQueryEngine``
        without replicas: N reader threads walk one shared graph under
        the index RWLock while the writer mutates;
-    4. **replica tier, concurrent** — ``--replicas N`` per-shard
+    3. **replica tier, concurrent** — ``--replicas N`` per-shard
        replica indexes converging by shipped journal deltas; readers
-       never touch the primary's lock and **nothing re-forks**.
+       never touch the primary's lock.
 
     Afterwards the replica tier must have converged purely by deltas
     (``resyncs == 0``), answer held-out queries at recall@k ≥ 0.9
-    against brute force on the churned index, and beat the
-    single-shard path **of its own transport** by ≥ 1.5× — process
-    replicas against the re-forking snapshot worker (the follow-up
-    this tier exists to fix), thread replicas against the serial
-    engine (a multi-core win: thread concurrency is pure overhead on
-    a single-core host, so the run reports core count alongside).
+    against brute force on the churned index, and beat the serial
+    engine by ≥ 1.5× — a multi-core win: thread concurrency is pure
+    overhead on a single-core host, so the run reports core count
+    alongside.
     """
     n_users = args.users or (400 if args.smoke else 5000)
     n_queries = args.queries or (40 if args.smoke else 300)
@@ -214,7 +206,7 @@ def run_replicas(args) -> int:
         return index
 
     def drive_serial(make_engine):
-        """The tape exactly as PR 3 serves it: one engine, one thread."""
+        """The tape on one engine, one thread."""
         index = fresh_index()
         engine = make_engine(index)
         rng_q = np.random.default_rng(args.seed + 17)
@@ -282,12 +274,6 @@ def run_replicas(args) -> int:
             searcher=GraphSearcher(index, **kwargs),
         )
     )
-    _, _, wall_proc1, stats_proc1 = drive_serial(
-        lambda index: ShardedQueryEngine(
-            index, 1, k=args.topk, invalidation="partial",
-            executor="process", searcher_kwargs=kwargs,
-        )
-    )
     _, shared_engine, wall_shared, stats_shared = drive_concurrent(
         lambda index: ShardedQueryEngine(
             index, n_replicas, k=args.topk, invalidation="partial",
@@ -298,8 +284,7 @@ def run_replicas(args) -> int:
     index_rep, engine_rep, wall_rep, stats_rep = drive_concurrent(
         lambda index: ShardedQueryEngine(
             index, n_replicas, k=args.topk, invalidation="partial",
-            replicas=True, routing=args.routing,
-            executor=args.replica_executor, searcher_kwargs=kwargs,
+            replicas=True, routing=args.routing, searcher_kwargs=kwargs,
         )
     )
 
@@ -313,7 +298,7 @@ def run_replicas(args) -> int:
         n_repaired += 1
 
     # Post-tape correctness: the tier converged by deltas alone (zero
-    # snapshot re-forks), and held-out queries through the replicas
+    # resyncs), and held-out queries through the replicas
     # match brute force on the churned primary at serving recall.
     replica_set = engine_rep.replica_set
     converged = replica_set.converged()
@@ -343,24 +328,18 @@ def run_replicas(args) -> int:
 
     rows = [
         tier_row(
-            f"replica tier ({n_replicas}x {args.replica_executor}, "
-            f"{args.routing})",
+            f"replica tier ({n_replicas}x thread, {args.routing})",
             wall_rep, stats_rep,
         ),
         tier_row(
             f"shared-index shards ({n_replicas} threads)", wall_shared,
             stats_shared,
         ),
-        tier_row("single engine (serial tape, PR 3)", wall_serial, stats_serial),
-        tier_row(
-            f"single process shard ({stats_proc1['reforks_total']} snapshot "
-            "re-forks, PR 3)",
-            wall_proc1, stats_proc1,
-        ),
+        tier_row("single engine (serial tape)", wall_serial, stats_serial),
     ]
     conv_rows = [{
         "Deltas shipped": shipped,
-        "Resyncs (re-forks)": resyncs,
+        "Resyncs": resyncs,
         "Rows repaired": n_repaired,
         "Replica lag": stats_rep["replica_lag"],
         "Converged (edge digests)": "yes" if converged else "NO",
@@ -372,18 +351,11 @@ def run_replicas(args) -> int:
     header = (
         f"Replica tier: {n_ops}-op mixed tape ({n_writes} writes) over "
         f"{n_users} users, {n_replicas} replicas "
-        f"({args.replica_executor}, routing={args.routing}, k={args.topk}, "
+        f"(thread, routing={args.routing}, k={args.topk}, "
         f"ef={args.ef}, budget={budget}, {n_cores} cores); recall sample "
         f"{len(sample)} held-out queries after the churn"
     )
-    # Like against like: each transport's single-shard PR-3 path is the
-    # baseline its replica tier must beat (process replicas fix the
-    # snapshot re-fork storm; thread replicas buy multi-core overlap).
-    if args.replica_executor == "process":
-        base_label, wall_base = "single process shard", wall_proc1
-    else:
-        base_label, wall_base = "serial single engine", wall_serial
-    speedup = wall_base / wall_rep
+    speedup = wall_serial / wall_rep
     blocks = [header, rows, conv_rows]
     metrics = {
         "mode": "replicas",
@@ -391,11 +363,8 @@ def run_replicas(args) -> int:
         "n_ops": n_ops,
         "n_cores": int(n_cores),
         "replicas": n_replicas,
-        "replica_executor": args.replica_executor,
         "routing": args.routing,
         "ops_s_serial": round(n_ops / wall_serial, 1),
-        "ops_s_single_process": round(n_ops / wall_proc1, 1),
-        "single_process_reforks": stats_proc1["reforks_total"],
         "ops_s_shared": round(n_ops / wall_shared, 1),
         "ops_s_replicas": round(n_ops / wall_rep, 1),
         "speedup_vs_single_shard": round(speedup, 2),
@@ -420,12 +389,10 @@ def run_replicas(args) -> int:
 
     ok = converged and resyncs == 0 and recall >= 0.9 and speedup >= 1.5
     blocks.append(
-        f"acceptance: converged={converged} with {resyncs} resyncs (=0, "
-        f"vs {stats_proc1['reforks_total']} single-shard snapshot re-forks), "
+        f"acceptance: converged={converged} with {resyncs} resyncs (=0), "
         f"recall@{args.topk}={recall:.3f} (>=0.9), "
-        f"throughput {speedup:.2f}x the {base_label} "
-        f"({args.replica_executor} transport, >=1.5x) "
-        f"-> {'PASS' if ok else 'FAIL'}"
+        f"throughput {speedup:.2f}x the serial single engine (>=1.5x, "
+        f"{n_cores} cores) -> {'PASS' if ok else 'FAIL'}"
     )
     metrics["acceptance"] = bool(ok)
     emit("serving-replicas", *blocks)
@@ -785,6 +752,38 @@ def _run_restart_in(
     return 0 if ok else 1
 
 
+class _RebuildingSearcher(GraphSearcher):
+    """The pre-incremental read path, the mixed benchmark's baseline.
+
+    In-edges come from a private CSR copy rebuilt with one O(n·k)
+    group-by on the first walk after every mutation, instead of the
+    index's maintained reverse adjacency.
+    """
+
+    _version = -1  # index.version the CSR copy matches
+
+    def refresh(self) -> None:
+        if self._version == self.index.version:
+            return
+        heaps = self.index.graph.heaps
+        valid = heaps.ids.ravel() != EMPTY
+        dst = heaps.ids.ravel()[valid].astype(np.int64)
+        src = np.repeat(np.arange(heaps.n, dtype=np.int64), heaps.k)[valid]
+        order = np.argsort(dst, kind="stable")
+        self._sources = src[order]
+        self._indptr = np.searchsorted(
+            dst[order], np.arange(heaps.n + 1, dtype=np.int64)
+        )
+        self._version = self.index.version
+
+    def holders(self, node: int) -> np.ndarray:
+        return self._sources[self._indptr[node] : self._indptr[node + 1]]
+
+    def _reverse_source(self):
+        self.refresh()
+        return self
+
+
 def run_mixed(args) -> int:
     """The write-storm benchmark: mixed 90/10 traffic, before vs after.
 
@@ -830,7 +829,7 @@ def run_mixed(args) -> int:
         else:
             engine = QueryEngine(
                 index, k=args.topk, invalidation="full",
-                searcher=GraphSearcher(index, reverse="rebuild", **kwargs),
+                searcher=_RebuildingSearcher(index, **kwargs),
             )
         rng = np.random.default_rng(args.seed + 17)
         n_writes = 0
@@ -924,8 +923,8 @@ def run_mixed(args) -> int:
     rev.apply_batch = timed_apply
     kwargs = _searcher_kwargs(args, budget)
     inc_q = GraphSearcher(index_inc, **kwargs)
-    reb_q = GraphSearcher(index_inc, reverse="rebuild", **kwargs)
-    reb_iso = GraphSearcher(index_inc, reverse="rebuild", **kwargs)
+    reb_q = _RebuildingSearcher(index_inc, **kwargs)
+    reb_iso = _RebuildingSearcher(index_inc, **kwargs)
     probe = pool[0]
     rng = np.random.default_rng(args.seed + 99)
     first_inc, first_reb, refresh = [], [], []
@@ -938,7 +937,7 @@ def run_mixed(args) -> int:
         reb_q.top_k(probe, k=args.topk)
         first_reb.append(time.perf_counter() - t)
         t = time.perf_counter()
-        reb_iso._refresh_reverse_index()
+        reb_iso.refresh()
         refresh.append(time.perf_counter() - t)
     rev.apply_batch = orig_apply
     inc_maint_ms = apply_seconds[0] / n_probe * 1e3
@@ -1077,12 +1076,6 @@ def main(argv=None) -> int:
     parser.add_argument("--routing", default="round_robin",
                         choices=["round_robin", "least_loaded", "hash"],
                         help="replica miss-routing policy")
-    parser.add_argument("--replica-executor", default="process",
-                        choices=["thread", "process"],
-                        help="replica transport (pinned worker pools fed a "
-                             "pickled delta queue — the default, whose "
-                             "single-shard baseline is the PR-3 re-forking "
-                             "snapshot worker — or in-process thread clones)")
     parser.add_argument("--topk", type=int, default=10)
     parser.add_argument("--ef", type=int, default=32)
     parser.add_argument("--per-config", type=int, default=16)
@@ -1136,7 +1129,6 @@ def main(argv=None) -> int:
             return ShardedQueryEngine(
                 index, args.replicas, k=args.topk, cache_size=cache_size,
                 replicas=True, routing=args.routing,
-                executor=args.replica_executor,
                 searcher_kwargs=_searcher_kwargs(args, budget),
             )
         if args.shards > 1:

@@ -70,7 +70,7 @@ def main() -> None:
 
     journal = JournalMetrics(index, window_s=300.0)
     engine = QueryEngine(index, k=K, invalidation="partial")
-    replicas = ReplicaSet(index, 2, mode="thread")
+    replicas = ReplicaSet(index, 2)
     journal.attach_lag("replicas", replicas.lag)
     print(f"index built over {dataset}; telemetry attached to every layer")
 

@@ -230,7 +230,7 @@ def _cmd_serve_demo(args) -> int:
     if args.replicas > 0:
         queries = ShardedQueryEngine(
             index, args.replicas, k=args.topk, replicas=True,
-            routing=args.routing, executor=args.replica_executor,
+            routing=args.routing,
             searcher_kwargs=dict(ef=args.ef, budget=args.budget, rerank=rerank),
             # With persistence attached, replicas bootstrap from the
             # on-disk snapshot + WAL tail instead of pickling the
@@ -372,7 +372,7 @@ def _cmd_metrics_dump(args) -> int:
     index = OnlineIndex.build(dataset, params=params)
     journal = JournalMetrics(index)
     engine = QueryEngine(index, k=10)
-    replicas = ReplicaSet(index, 2, mode="thread")
+    replicas = ReplicaSet(index, 2)
     journal.attach_lag("replicas", replicas.lag)
     rng = np.random.default_rng(args.seed)
     with tempfile.TemporaryDirectory() as wal_dir:
@@ -470,10 +470,6 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--routing", default="round_robin",
                    choices=["round_robin", "least_loaded", "hash"],
                    help="miss-routing policy across replicas")
-    p.add_argument("--replica-executor", default="thread",
-                   choices=["thread", "process"],
-                   help="replica transport: in-process clones or pinned "
-                        "worker pools fed a pickled delta queue")
     p.add_argument("--rerank", default="none", choices=["none", "exact"],
                    help="re-score the walk's final frontier with exact similarities")
     p.add_argument("--wal-dir",

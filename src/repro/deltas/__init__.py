@@ -30,10 +30,8 @@ propagation":
   replica edge digests against the primary oracle and auto-resyncs any
   replica that silently diverged.
 
-Registration is ``index.deltas.register(view)``; the pre-pipeline
-entry points ``OnlineIndex.subscribe`` / ``subscribe_deltas`` survive
-as one-release deprecation shims that wrap the callback in a
-:class:`CallbackView` / :class:`ReplicaDeltaView`.
+Registration is ``index.deltas.register(view)``; ``view.close()``
+detaches it.
 
 See ``docs/architecture.md`` ("The life of a delta") for the end-to-end
 walkthrough and ``examples/derived_views.py`` for building a custom
@@ -44,13 +42,11 @@ from __future__ import annotations
 
 from .antientropy import AntiEntropy
 from .bus import Delta, DeltaBus
-from .view import CallbackView, DerivedView, ReplicaDeltaView
+from .view import DerivedView
 
 __all__ = [
     "AntiEntropy",
-    "CallbackView",
     "Delta",
     "DeltaBus",
     "DerivedView",
-    "ReplicaDeltaView",
 ]

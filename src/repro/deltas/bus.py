@@ -13,8 +13,7 @@ one genuinely expensive export — annotating journal edges with their
 post-mutation scores into a shippable
 :class:`~repro.online.ReplicaDelta` — is only performed while at least
 one registered view declares ``needs_scored`` (replica shipping, the
-WAL, secondary indexes that read profile payloads), exactly the
-old ``subscribe_deltas`` economy.
+WAL, secondary indexes that read profile payloads).
 """
 
 from __future__ import annotations
@@ -122,8 +121,7 @@ class DeltaBus:
         """Detach ``view`` from the stream.
 
         Raises:
-            ValueError: the view is not registered (matching the old
-                ``list.remove`` contract the unsubscribe shims keep).
+            ValueError: the view is not registered.
         """
         with self._lock:
             self._views.remove(view)

@@ -20,15 +20,11 @@ package each of those re-implemented the same four-part shape by hand;
 * ``snapshot()`` / ``hydrate()`` — optional hooks for shipping the
   derived state across processes (a view whose resync is expensive can
   be checkpointed and restored instead of rebuilt).
-
-The two ``Callback*`` views wrap the pre-pipeline ``subscribe`` /
-``subscribe_deltas`` callbacks so the deprecated entry points keep
-working for one release.
 """
 
 from __future__ import annotations
 
-__all__ = ["CallbackView", "DerivedView", "ReplicaDeltaView"]
+__all__ = ["DerivedView"]
 
 
 class DerivedView:
@@ -135,49 +131,3 @@ class DerivedView:
     def __repr__(self) -> str:  # pragma: no cover - debugging aid
         return f"<{type(self).__name__} {self.name!r} seq={self.seq}>"
 
-
-class CallbackView(DerivedView):
-    """Deprecation shim: a pre-pipeline ``subscribe`` callback as a view.
-
-    Wraps ``callback(event, user, deltas)`` — the 3-arg edge-triple
-    channel result caches and the journal metrics used to attach
-    through. Kept for one release behind the ``OnlineIndex.subscribe``
-    shim; new code registers a real :class:`DerivedView`.
-    """
-
-    name = "legacy_callback"
-
-    def __init__(self, callback) -> None:
-        super().__init__()
-        self.callback = callback
-
-    def apply(self, delta) -> None:
-        """Replay the delta on the legacy 3-arg callback."""
-        self.callback(delta.event, delta.user, delta.edges)
-
-    def resync(self) -> None:
-        """No-op: the legacy channel never had a resync contract."""
-
-
-class ReplicaDeltaView(DerivedView):
-    """Deprecation shim: a ``subscribe_deltas`` callback as a view.
-
-    Wraps ``callback(delta: ReplicaDelta)`` — the scored shippable
-    channel replicas and the WAL used to attach through. Declares
-    ``needs_scored`` so the bus keeps exporting the annotated form.
-    """
-
-    name = "legacy_delta_callback"
-    needs_scored = True
-
-    def __init__(self, callback) -> None:
-        super().__init__()
-        self.callback = callback
-
-    def apply(self, delta) -> None:
-        """Forward the scored export to the legacy callback."""
-        if delta.replica is not None:
-            self.callback(delta.replica)
-
-    def resync(self) -> None:
-        """No-op: the legacy channel never had a resync contract."""

@@ -42,7 +42,6 @@ from __future__ import annotations
 
 import pickle
 import threading
-import warnings
 from dataclasses import dataclass, field
 from time import perf_counter
 
@@ -54,7 +53,7 @@ from ..core.cluster_and_conquer import cluster_and_conquer
 from ..core.config import C2Params
 from ..core.fastrandomhash import UNDEFINED
 from ..deltas.bus import Delta, DeltaBus
-from ..deltas.view import CallbackView, DerivedView, ReplicaDeltaView
+from ..deltas.view import DerivedView
 from ..graph.heap import EMPTY
 from ..graph.knn_graph import group_by_value
 from ..graph.reverse import ReverseAdjacency
@@ -81,7 +80,7 @@ class StaleReplicaError(RuntimeError):
 class ReplicaDelta:
     """Everything a replica needs to replay one primary mutation.
 
-    The shippable (picklable) superset of the ``subscribe`` payload:
+    The shippable (picklable) superset of a :class:`~repro.deltas.Delta`:
     per-edge structural changes annotated with their post-mutation
     scores, plus the profile and routing-state changes the mutation
     made — enough for :meth:`OnlineIndex.apply_delta` to bring a
@@ -235,12 +234,9 @@ class OnlineIndex:
         self.lock = RWLock()  # mutations write, serving walks read
         # The delta pipeline: one Delta published per mutation, every
         # consumer (reverse adjacency, caches, replicas, WAL, metrics)
-        # a registered DerivedView. The deprecated subscribe /
-        # subscribe_deltas shims park their wrapper views here, keyed
-        # by (channel, callback), so unsubscribe can find them.
+        # a registered DerivedView.
         self.deltas = DeltaBus(self)
         self.deltas.register(_ReverseView(self))
-        self._legacy_views: dict = {}
         self._bind_metrics()
         self._refiller = None  # lazily-built GraphSearcher (serve subsystem)
         self._reverse: ReverseAdjacency | None = None  # lazy, then maintained
@@ -322,7 +318,7 @@ class OnlineIndex:
         self._n_notified_clusters = len(self._cluster_key)
 
     # ------------------------------------------------------------------
-    # Pickling (process-mode serving shards snapshot the index)
+    # Pickling (clones, replica resyncs and persisted snapshots)
     # ------------------------------------------------------------------
 
     def _bind_metrics(self, registry=None) -> None:
@@ -351,7 +347,6 @@ class OnlineIndex:
         # ``_reverse`` array state itself IS shipped — only its
         # maintaining view is recreated on load.
         state["deltas"] = None
-        state["_legacy_views"] = {}
         state["_refiller"] = None
         state["lock"] = None
         state["_reverse_build_lock"] = None
@@ -410,82 +405,6 @@ class OnlineIndex:
     # ------------------------------------------------------------------
     # The delta pipeline (consumers register DerivedViews on the bus)
     # ------------------------------------------------------------------
-
-    def subscribe(self, callback) -> None:
-        """Deprecated: register ``callback(event, user, deltas)``.
-
-        .. deprecated::
-            Use ``index.deltas.register(view)`` with a
-            :class:`~repro.deltas.DerivedView` (see
-            ``docs/architecture.md``, "Migrating off subscribe").
-            This shim wraps the callback in a
-            :class:`~repro.deltas.CallbackView` and will be removed
-            next release.
-        """
-        warnings.warn(
-            "OnlineIndex.subscribe is deprecated; register a "
-            "repro.deltas.DerivedView via index.deltas.register(view)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._legacy_views[("cb", callback)] = self.deltas.register(
-            CallbackView(callback)
-        )
-
-    def unsubscribe(self, callback) -> None:
-        """Deprecated: remove a :meth:`subscribe` callback.
-
-        Raises ``ValueError`` for an unknown callback, matching the old
-        ``list.remove`` contract.
-        """
-        warnings.warn(
-            "OnlineIndex.unsubscribe is deprecated; keep the view returned "
-            "by index.deltas.register(view) and call view.close()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        view = self._legacy_views.pop(("cb", callback), None)
-        if view is None:
-            raise ValueError(f"{callback!r} is not subscribed")
-        self.deltas.unregister(view)
-
-    def subscribe_deltas(self, callback) -> None:
-        """Deprecated: register ``callback(delta: ReplicaDelta)``.
-
-        .. deprecated::
-            Use ``index.deltas.register(view)`` with a
-            :class:`~repro.deltas.DerivedView` declaring
-            ``needs_scored = True``. This shim wraps the callback in a
-            :class:`~repro.deltas.ReplicaDeltaView` and will be removed
-            next release.
-        """
-        warnings.warn(
-            "OnlineIndex.subscribe_deltas is deprecated; register a "
-            "repro.deltas.DerivedView with needs_scored=True via "
-            "index.deltas.register(view)",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        self._legacy_views[("delta", callback)] = self.deltas.register(
-            ReplicaDeltaView(callback)
-        )
-
-    def unsubscribe_deltas(self, callback) -> None:
-        """Deprecated: remove a :meth:`subscribe_deltas` callback.
-
-        Raises ``ValueError`` for an unknown callback, matching the old
-        ``list.remove`` contract.
-        """
-        warnings.warn(
-            "OnlineIndex.unsubscribe_deltas is deprecated; keep the view "
-            "returned by index.deltas.register(view) and call view.close()",
-            DeprecationWarning,
-            stacklevel=2,
-        )
-        view = self._legacy_views.pop(("delta", callback), None)
-        if view is None:
-            raise ValueError(f"{callback!r} is not subscribed")
-        self.deltas.unregister(view)
 
     def _notify(self, event: str, user: int, items=None, resplit=None) -> None:
         edges = self.graph.heaps.drain_journal()
@@ -557,14 +476,14 @@ class OnlineIndex:
 
         Taken under the read lock so a concurrent mutation cannot tear
         it. The clone starts with no listeners and fresh locks (the
-        pickling contract process-mode serving already relies on) and
+        pickling contract persisted snapshots also rely on) and
         can be brought forward mutation-by-mutation with
         :meth:`apply_delta` — the replica tier's whole lifecycle.
         """
         return pickle.loads(self.snapshot_bytes())
 
     def snapshot_bytes(self) -> bytes:
-        """The pickled snapshot :meth:`clone` (and process shipping) use."""
+        """The pickled form :meth:`clone` uses (and persisted snapshots store)."""
         with self.lock.read():
             return pickle.dumps(self)
 

@@ -1,7 +1,7 @@
 """Durable serving — snapshot + delta-WAL persistence, restart recovery.
 
-The replication protocol (:meth:`~repro.online.OnlineIndex.clone` /
-``subscribe_deltas`` / ``apply_delta``) already turns every mutation
+The replication protocol (:meth:`~repro.online.OnlineIndex.clone`, a
+``needs_scored`` view on ``index.deltas``, ``apply_delta``) already turns every mutation
 into a picklable, replayable :class:`~repro.online.ReplicaDelta`; this
 package points that stream at disk so a process restart recovers the
 maintained graph instead of rebuilding it:
@@ -12,7 +12,7 @@ maintained graph instead of rebuilding it:
 * :class:`SnapshotStore` — atomic write-rename checkpoint files named
   by the index version they captured;
 * :class:`DurableIndex` — attaches both to a live index through the
-  ``subscribe_deltas`` hook, checkpoints (and compacts the log) in the
+  ``needs_scored`` delta view, checkpoints (and compacts the log) in the
   background once it outgrows a threshold, and recovers snapshot +
   WAL tail in O(|tail|) work with **zero similarity evaluations**.
 

@@ -7,7 +7,7 @@ graph-walk search (:class:`GraphSearcher`, with optional exact
 re-ranking for estimate backends), a batching/caching front end with
 sync and ``asyncio`` entry points and partial cache invalidation
 (:class:`QueryEngine`), a multi-worker variant that partitions deduped
-batches across thread or process shards (:class:`ShardedQueryEngine`)
+batches across thread shards (:class:`ShardedQueryEngine`)
 — optionally backed by per-shard replica indexes that converge via
 shipped journal deltas instead of shared state (:class:`ReplicaSet`) —
 and an adapter that turns served neighbours into item recommendations

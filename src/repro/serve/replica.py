@@ -1,10 +1,8 @@
 """Per-shard replica indexes fed by journal-delta shipping.
 
-PR 3's sharded serving has two multi-core ceilings the ROADMAP calls
-out: every thread shard walks **one shared graph** under a single
-readers-writer lock (mutations stall all shards at once), and the
-process pool **re-forks its entire snapshot** after any mutation. This
-module replaces both with replication:
+Thread shards that share the primary walk **one shared graph** under a
+single readers-writer lock, so every mutation stalls all of them at
+once. This module replaces that with replication:
 
 * each replica is a full :meth:`~repro.online.OnlineIndex.clone` of
   the primary — its own profiles, fingerprints, routing tables, graph
@@ -12,21 +10,11 @@ module replaces both with replication:
   walk touches **no primary state and no primary lock**;
 * mutations apply **once** on the primary; the per-edge journal deltas
   (annotated into :class:`~repro.online.ReplicaDelta` for the tier's
-  ``needs_scored`` view) are shipped to every replica, which converges
-  via :meth:`~repro.online.OnlineIndex.apply_delta` in O(|edges|) work
-  and zero similarity evaluations — **no snapshot re-forks**.
-
-Two shipping transports:
-
-* ``mode="thread"`` — replicas live in-process; deltas are applied
-  synchronously inside the mutation (each replica takes only its own
-  write lock, so queries on other replicas never stall). Replicas are
-  always exactly at the primary's version.
-* ``mode="process"`` — one **pinned single-worker pool per replica**
-  holds the cloned index; deltas are pickled into a per-replica queue
-  and drained by the worker ahead of each batch it serves. Replicas
-  converge lazily (eventual, read-your-ship consistency: a batch
-  always sees every mutation shipped before it was submitted).
+  ``needs_scored`` view) are applied to every replica synchronously
+  inside the mutation via :meth:`~repro.online.OnlineIndex.apply_delta`
+  — O(|edges|) work and zero similarity evaluations, and each replica
+  takes only its own write lock, so queries on other replicas never
+  stall. Replicas are always exactly at the primary's version.
 
 A ``rebuild`` (or a detected sequence gap) cannot be expressed as
 deltas; the replica resyncs from a fresh snapshot and the ``resyncs``
@@ -34,17 +22,15 @@ counter records it — the mixed-workload benchmark asserts this stays
 at **zero** across a 90/10 write storm.
 
 Convergence is checked in the slot-order-independent currency that
-matters for serving: per-row neighbour-id sets (:func:`edge_digest`).
-Replica edge *ids* are always exact; stored edge scores may lag
-in-place rescorings, which the searcher never reads (candidates are
-scored against the query).
+matters for serving: per-row neighbour-id sets
+(:func:`~repro.graph.heap.edge_digest`). Replica edge *ids* are always
+exact; stored edge scores may lag in-place rescorings, which the
+searcher never reads (candidates are scored against the query).
 """
 
 from __future__ import annotations
 
-import pickle
 import threading
-from concurrent.futures import ProcessPoolExecutor
 from time import perf_counter
 
 from .. import obs
@@ -53,7 +39,7 @@ from ..graph.heap import edge_digest
 from ..online.index import OnlineIndex, ReplicaDelta
 from .searcher import GraphSearcher, SearchResult
 
-__all__ = ["ReplicaSet", "edge_digest"]
+__all__ = ["ReplicaSet"]
 
 
 class _ShipView(DerivedView):
@@ -61,10 +47,9 @@ class _ShipView(DerivedView):
 
     Declares ``needs_scored`` so the index keeps annotating journal
     edges into shippable :class:`~repro.online.ReplicaDelta`\\ s; the
-    tier's own transport logic (synchronous thread apply, per-replica
-    process queues, contained failure → counted resync) stays in
-    :class:`ReplicaSet`. The resync recipe re-snapshots every replica
-    from the primary.
+    tier's own transport logic (synchronous apply, contained failure →
+    counted resync) stays in :class:`ReplicaSet`. The resync recipe
+    re-snapshots every replica from the primary.
     """
 
     name = "replica_ship"
@@ -85,39 +70,6 @@ class _ShipView(DerivedView):
             self._replicas.resync_replica(i)
 
 
-# ``edge_digest`` moved to :mod:`repro.graph.heap` (re-exported above
-# for back-compat) so journal-layer consumers can use it without
-# importing the serving tier.
-
-# Process-mode worker state: one pinned worker per replica holds the
-# cloned index and drains its delta queue before serving each batch.
-_REPLICA: dict = {}
-
-
-def _replica_init(payload: bytes, searcher_kwargs: dict) -> None:
-    index = pickle.loads(payload)
-    _REPLICA["index"] = index
-    _REPLICA["searcher"] = GraphSearcher(index, **searcher_kwargs)
-
-
-def _replica_search(
-    delta_payloads: list[bytes], profiles: list, k: int
-) -> list[SearchResult]:
-    index: OnlineIndex = _REPLICA["index"]
-    for raw in delta_payloads:
-        index.apply_delta(pickle.loads(raw))
-    searcher: GraphSearcher = _REPLICA["searcher"]
-    return [searcher.top_k(p, k=k) for p in profiles]
-
-
-def _replica_state(delta_payloads: list[bytes]) -> tuple[int, int]:
-    """Apply pending deltas, then report ``(version, edge digest)``."""
-    index: OnlineIndex = _REPLICA["index"]
-    for raw in delta_payloads:
-        index.apply_delta(pickle.loads(raw))
-    return index.version, edge_digest(index.graph.heaps)
-
-
 class ReplicaSet:
     """N per-shard replica indexes converging by shipped deltas.
 
@@ -125,9 +77,6 @@ class ReplicaSet:
         index: the primary (mutations apply here, once).
         n_replicas: replica count; the sharded front end routes batch
             misses across them.
-        mode: ``"thread"`` (in-process clones, synchronous delta
-            apply) or ``"process"`` (pinned worker pools fed a pickled
-            delta queue).
         searcher_kwargs: forwarded to each replica's
             :class:`GraphSearcher` (``ef``, ``budget``, ``rerank``, …).
         hydrate: optional zero-arg callable returning a detached
@@ -150,18 +99,14 @@ class ReplicaSet:
         index: OnlineIndex,
         n_replicas: int = 2,
         *,
-        mode: str = "thread",
         searcher_kwargs: dict | None = None,
         hydrate=None,
         registry=None,
     ) -> None:
         if n_replicas < 1:
             raise ValueError("n_replicas must be >= 1")
-        if mode not in ("thread", "process"):
-            raise ValueError("mode must be 'thread' or 'process'")
         self.index = index
         self.n_replicas = int(n_replicas)
-        self.mode = mode
         self.searcher_kwargs = dict(searcher_kwargs or {})
         self.hydrate = hydrate
         self.deltas_shipped = 0
@@ -172,37 +117,26 @@ class ReplicaSet:
         self._g_lag = reg.gauge("replica_lag")
         self._h_ship = reg.histogram("replica_ship_seconds")
         self._h_apply = reg.histogram("replica_apply_seconds")
-        self._ship_lock = threading.Lock()
-        self._revive_locks = [threading.Lock() for _ in range(self.n_replicas)]
-        self._closed = False
         # Per-replica serving spend, fed from the SearchResults each
-        # batch returns (both transports), so the tier's aggregate
-        # similarity bill is one dict away — see stats()["serving"].
+        # batch returns, so the tier's aggregate similarity bill is one
+        # dict away — see stats()["serving"].
         self._serving_lock = threading.Lock()
         self._served = [
             {"queries": 0, "evaluations": 0, "hops": 0}
             for _ in range(self.n_replicas)
         ]
-        if mode == "thread":
-            self._replicas: list[OnlineIndex] = []
-            self._searchers: list[GraphSearcher] = []
-            self._run_locks = [threading.Lock() for _ in range(self.n_replicas)]
-            for _ in range(self.n_replicas):
-                replica = hydrate() if hydrate is not None else index.clone()
-                self._replicas.append(replica)
-                self._searchers.append(
-                    GraphSearcher(replica, **self.searcher_kwargs)
-                )
-        else:
-            if hydrate is not None:
-                snapshot = pickle.dumps(hydrate())
-            else:
-                snapshot = index.snapshot_bytes()
-            self._pools: list[ProcessPoolExecutor | None] = []
-            self._pending: list[list[bytes]] = [[] for _ in range(self.n_replicas)]
-            self._needs_resync = [False] * self.n_replicas
-            for _ in range(self.n_replicas):
-                self._pools.append(self._new_pool(snapshot))
+        # Each replica's engine is private to that replica, and a walk
+        # reports its evaluations as the engine's counter delta around
+        # it; serialising the walks on one replica keeps every
+        # SearchResult.evaluations — and so the tier's serving bill —
+        # exact when two batches land on the same replica at once.
+        self._run_locks = [threading.Lock() for _ in range(self.n_replicas)]
+        self._replicas: list[OnlineIndex] = []
+        self._searchers: list[GraphSearcher] = []
+        for _ in range(self.n_replicas):
+            replica = hydrate() if hydrate is not None else index.clone()
+            self._replicas.append(replica)
+            self._searchers.append(GraphSearcher(replica, **self.searcher_kwargs))
         # Register after cloning: a mutation racing the clone is either
         # already inside the snapshot (its delta is skipped by the seq
         # guard) or arrives as the next delta in sequence. A delta lost
@@ -210,113 +144,30 @@ class ReplicaSet:
         # through a counted resync.
         self._view = index.deltas.register(_ShipView(self))
 
-    def _new_pool(self, payload: bytes) -> ProcessPoolExecutor:
-        return ProcessPoolExecutor(
-            max_workers=1,
-            initializer=_replica_init,
-            initargs=(payload, self.searcher_kwargs),
-        )
-
     # ------------------------------------------------------------------
     # Shipping
     # ------------------------------------------------------------------
 
     def _on_delta(self, delta: ReplicaDelta) -> None:
-        """Primary mutation hook: converge (thread) or enqueue (process)."""
+        """Primary mutation hook: converge every replica synchronously."""
         t_ship = perf_counter()
         self.deltas_shipped += 1
         self._c_shipped.inc()
-        if self.mode == "thread":
-            for i in range(self.n_replicas):
-                t_apply = perf_counter()
-                try:
-                    self._replicas[i].apply_delta(delta)
-                    self._h_apply.observe(perf_counter() - t_apply)
-                except Exception:
-                    # A replica that cannot replay (sequence gap,
-                    # rebuild, or any mid-replay failure) must never
-                    # break the primary's mutation — contain it by
-                    # resyncing from a fresh snapshot. The snapshot
-                    # clone is safe here: this hook runs on the
-                    # mutating thread, for which the write lock is
-                    # read-reentrant.
-                    self._resync_thread(i)
-            self._h_ship.observe(perf_counter() - t_ship)
-            self._g_lag.set(0)  # thread replicas converge synchronously
-            return
-        payload = pickle.dumps(delta)
-        with self._ship_lock:
-            for i in range(self.n_replicas):
-                if delta.event == "rebuild":
-                    # Unshippable: drop the queue, force a snapshot.
-                    self._pending[i].clear()
-                    self._needs_resync[i] = True
-                else:
-                    self._pending[i].append(payload)
-            self._g_lag.set(max((len(p) for p in self._pending), default=0))
+        for i in range(self.n_replicas):
+            t_apply = perf_counter()
+            try:
+                self._replicas[i].apply_delta(delta)
+                self._h_apply.observe(perf_counter() - t_apply)
+            except Exception:
+                # A replica that cannot replay (sequence gap, rebuild,
+                # or any mid-replay failure) must never break the
+                # primary's mutation — contain it by resyncing from a
+                # fresh snapshot. The snapshot clone is safe here: this
+                # hook runs on the mutating thread, for which the write
+                # lock is read-reentrant.
+                self.resync_replica(i)
         self._h_ship.observe(perf_counter() - t_ship)
-
-    def _resync_thread(self, i: int) -> None:
-        """Replace thread replica ``i`` with a fresh snapshot clone."""
-        self.resyncs += 1
-        self._c_resyncs.inc()
-        replica = self.index.clone()
-        self._replicas[i] = replica
-        self._searchers[i] = GraphSearcher(replica, **self.searcher_kwargs)
-
-    def _revive(self, i: int) -> None:
-        """Re-fork process replica ``i``'s pinned pool from a snapshot.
-
-        Lock discipline matters here: ``_on_delta`` runs under the
-        primary's **write** lock and takes ``_ship_lock``, so this
-        method must never hold ``_ship_lock`` while taking the
-        snapshot (which needs the primary's **read** lock) — that
-        order inversion would deadlock the tier against a concurrent
-        mutation. Instead the dead pool is detached and its queue
-        cleared under ``_ship_lock``, the snapshot is taken unlocked,
-        and the fresh pool is installed afterwards. Deltas shipped in
-        between accumulate in the cleared queue; any the snapshot
-        already contains are skipped by ``apply_delta``'s seq guard.
-        ``_revive_locks[i]`` collapses concurrent revivals of the same
-        replica into one resync.
-        """
-        with self._revive_locks[i]:
-            with self._ship_lock:
-                if self._pools[i] is not None and not self._needs_resync[i]:
-                    return  # another thread already revived it
-                pool = self._pools[i]
-                self._pools[i] = None
-                self._pending[i].clear()
-                self._needs_resync[i] = False
-                self.resyncs += 1
-                self._c_resyncs.inc()
-            if pool is not None:
-                pool.shutdown(wait=False, cancel_futures=True)
-            payload = self.index.snapshot_bytes()  # no _ship_lock held
-            with self._ship_lock:
-                self._pools[i] = self._new_pool(payload)
-
-    def _submit(self, i: int, fn, *args):
-        """Submit to replica ``i``'s pinned pool, reviving it if needed.
-
-        The pending delta queue is drained into the task under
-        ``_ship_lock`` so the pop and the submit are atomic with
-        respect to ``_on_delta`` appends and other submitters — the
-        single-worker pool then applies and serves strictly in ship
-        order (read-your-ship consistency).
-        """
-        while True:
-            with self._ship_lock:
-                if self._closed:
-                    raise RuntimeError("ReplicaSet is closed")
-                pool = self._pools[i]
-                if pool is not None and not self._needs_resync[i]:
-                    payloads, self._pending[i] = self._pending[i], []
-                    self._g_lag.set(
-                        max((len(p) for p in self._pending), default=0)
-                    )
-                    return pool.submit(fn, payloads, *args)
-            self._revive(i)
+        self._g_lag.set(0)  # replicas converge synchronously
 
     # ------------------------------------------------------------------
     # Serving
@@ -325,30 +176,13 @@ class ReplicaSet:
     def search(self, replica: int, profiles: list, k: int) -> list[SearchResult]:
         """Serve a batch of profiles on replica ``replica``.
 
-        Thread mode walks the replica's own graph on the calling
-        thread (the per-replica lock only matters for rebuild-mode
-        searchers, which keep private CSR state). Process mode drains
-        the replica's delta queue into the pinned worker ahead of the
-        batch, so results always reflect every mutation shipped before
-        this call.
+        Walks the replica's own graph on the calling thread, under the
+        replica's run lock (see ``__init__``).
         """
-        if self.mode == "thread":
-            searcher = self._searchers[replica]
-            with self._run_locks[replica]:
-                results = [searcher.top_k(p, k=k) for p in profiles]
-            return self._account(replica, results)
-        future = self._submit(replica, _replica_search, profiles, k)
-        try:
-            return self._account(replica, future.result())
-        except Exception:
-            # Worker died or its delta stream gapped: resync the pinned
-            # pool from a fresh snapshot and retry the batch once.
-            with self._ship_lock:
-                self._needs_resync[replica] = True
-            return self._account(
-                replica,
-                self._submit(replica, _replica_search, profiles, k).result(),
-            )
+        searcher = self._searchers[replica]
+        with self._run_locks[replica]:
+            results = [searcher.top_k(p, k=k) for p in profiles]
+        return self._account(replica, results)
 
     def _account(self, replica: int, results: list[SearchResult]) -> list[SearchResult]:
         """Charge a served batch to replica ``replica``'s counters."""
@@ -364,18 +198,13 @@ class ReplicaSet:
     # ------------------------------------------------------------------
 
     def replica(self, i: int) -> OnlineIndex:
-        """Thread-mode replica ``i`` (tests compare it to the primary)."""
-        if self.mode != "thread":
-            raise ValueError("direct replica access is thread-mode only")
+        """Replica ``i`` (tests compare it to the primary)."""
         return self._replicas[i]
 
     def converged(self) -> bool:
         """Whether every replica's edge sets match the primary's, now.
 
-        Thread replicas are compared in place; process replicas first
-        drain their pending delta queues (the consistency contract is
-        read-your-ship, so "converged" means "after applying what was
-        shipped"). Digests are slot-order independent.
+        Digests are slot-order independent.
         """
         with self.index.lock.read():
             want = (self.index.version, edge_digest(self.index.graph.heaps))
@@ -384,56 +213,41 @@ class ReplicaSet:
     def replica_states(self) -> list[tuple[int, int]]:
         """``(version, edge digest)`` per replica — the audit currency.
 
-        Process replicas drain their pending queues first (the same
-        read-your-ship contract as :meth:`converged`); thread replicas
-        are read under their own locks. The
+        Each replica is read under its own lock. The
         :class:`~repro.deltas.AntiEntropy` view compares these pairs
         against the primary oracle.
         """
-        if self.mode == "thread":
-            out = []
-            for replica in self._replicas:
-                with replica.lock.read():
-                    out.append(
-                        (replica.version, edge_digest(replica.graph.heaps))
-                    )
-            return out
-        return [
-            self._submit(i, _replica_state).result()
-            for i in range(self.n_replicas)
-        ]
+        out = []
+        for replica in self._replicas:
+            with replica.lock.read():
+                out.append((replica.version, edge_digest(replica.graph.heaps)))
+        return out
 
     def resync_replica(self, i: int) -> None:
-        """Force replica ``i`` back onto a fresh primary snapshot.
+        """Replace replica ``i`` with a fresh clone of the primary.
 
-        The repair entry point anti-entropy uses: thread replicas are
-        re-cloned immediately; process replicas are marked and re-fork
-        lazily on their next submit (the same contained-failure path a
-        sequence gap takes). Counted in ``resyncs_total``.
+        The contained-failure path a sequence gap or ``rebuild`` takes,
+        and the repair entry point anti-entropy uses. Counted in
+        ``resyncs_total``.
         """
-        if self.mode == "thread":
-            self._resync_thread(i)
-        else:
-            with self._ship_lock:
-                self._needs_resync[i] = True
+        self.resyncs += 1
+        self._c_resyncs.inc()
+        replica = self.index.clone()
+        self._replicas[i] = replica
+        self._searchers[i] = GraphSearcher(replica, **self.searcher_kwargs)
 
     def lag(self) -> int:
         """Mutations shipped but not yet applied, worst replica."""
         return max(self.per_replica_lag(), default=0)
 
     def per_replica_lag(self) -> list[int]:
-        """Mutations shipped but not yet applied, one entry per replica.
+        """Version distance to the primary, one entry per replica.
 
-        Thread replicas measure version distance to the primary
-        (normally 0 — they converge inside the mutation); process
-        replicas count queued-but-undrained delta payloads.
+        Normally 0 — replicas converge inside the mutation.
         """
-        if self.mode == "thread":
-            if not self._replicas:  # closed set: nothing left to lag
-                return [0] * self.n_replicas
-            return [self.index.version - r.version for r in self._replicas]
-        with self._ship_lock:
-            return [len(p) for p in self._pending]
+        if not self._replicas:  # closed set: nothing left to lag
+            return [0] * self.n_replicas
+        return [self.index.version - r.version for r in self._replicas]
 
     def stats(self) -> dict:
         """Operational counters for dashboards, benchmarks and tests.
@@ -458,7 +272,6 @@ class ReplicaSet:
         return {
             "component": "replica_set",
             "n_replicas": self.n_replicas,
-            "mode": self.mode,
             "deltas_shipped_total": self.deltas_shipped,
             "resyncs_total": self.resyncs,
             "lag": max(lags, default=0),
@@ -473,16 +286,6 @@ class ReplicaSet:
 
     def close(self) -> None:
         """Detach from the primary and release replica resources."""
-        if self._closed:
-            return
-        self._closed = True
         self._view.close()
-        if self.mode == "process":
-            with self._ship_lock:
-                for i, pool in enumerate(self._pools):
-                    if pool is not None:
-                        pool.shutdown()
-                        self._pools[i] = None
-        else:
-            self._replicas = []
-            self._searchers = []
+        self._replicas = []
+        self._searchers = []

@@ -33,9 +33,8 @@ maintained** :class:`~repro.graph.reverse.ReverseAdjacency`
 (:meth:`OnlineIndex.reverse_index`), patched per edge from each
 mutation's journal — so a write storm costs O(changed edges) of
 read-side maintenance, not an O(n·k) rebuild on the first query after
-every mutation. The old version-stamped full rebuild is retained
-(``reverse="rebuild"``) as a dependency-free fallback and as the
-oracle the property tests compare the maintained index against.
+every mutation. The property tests compare it against a from-scratch
+:meth:`~repro.graph.reverse.ReverseAdjacency.from_heaps` rebuild.
 
 For estimate backends (GoldFinger/Bloom), ``rerank="exact"`` re-scores
 the walk's final frontier — the ``ef`` best candidates, not just the
@@ -78,7 +77,6 @@ from time import perf_counter
 import numpy as np
 
 from .. import obs
-from ..graph.heap import EMPTY
 from ..online.index import OnlineIndex
 from ..similarity.engine import SimilarityEngine
 from ..similarity.jaccard import profile_intersections
@@ -125,14 +123,10 @@ class GraphSearcher:
             configuration (deterministically subsampled).
         budget: optional hard cap on similarity evaluations per query;
             the walk stops early rather than exceed it.
-        use_reverse_edges: also expand along in-edges (default; see
-            module docstring). Disable to walk out-edges only.
-        reverse: where in-edges come from. ``"incremental"`` (default)
-            reads the index's maintained
-            :meth:`~repro.online.OnlineIndex.reverse_index`;
-            ``"rebuild"`` keeps a private CSR copy rebuilt O(n·k) after
-            every mutation — the pre-incremental behaviour, kept as a
-            fallback and as the property tests' oracle.
+        use_reverse_edges: also expand along in-edges, read from the
+            index's maintained
+            :meth:`~repro.online.OnlineIndex.reverse_index` (default;
+            see module docstring). Disable to walk out-edges only.
         rerank: ``"exact"`` re-scores the final frontier with exact
             similarities over raw profiles before truncating to ``k``
             (counted; recovers estimate-backend recall). ``None``
@@ -158,7 +152,6 @@ class GraphSearcher:
         per_config: int = 16,
         budget: int | None = None,
         use_reverse_edges: bool = True,
-        reverse: str = "incremental",
         rerank: str | None = None,
         walk_impl: str | None = None,
         registry=None,
@@ -166,8 +159,6 @@ class GraphSearcher:
     ) -> None:
         if ef < 1:
             raise ValueError("ef must be >= 1")
-        if reverse not in ("incremental", "rebuild"):
-            raise ValueError("reverse must be 'incremental' or 'rebuild'")
         if rerank not in (None, "exact"):
             raise ValueError("rerank must be None or 'exact'")
         if walk_impl is None:
@@ -184,11 +175,7 @@ class GraphSearcher:
         self.per_config = int(per_config)
         self.budget = budget
         self.use_reverse_edges = bool(use_reverse_edges)
-        self.reverse = reverse
         self.rerank = rerank
-        self._rev_version = -1  # index.version the rebuild-mode copy matches
-        self._rev_sources = np.empty(0, dtype=np.int64)
-        self._rev_indptr = np.zeros(1, dtype=np.int64)
         reg = registry if registry is not None else obs.metrics()
         self.tracer = tracer if tracer is not None else obs.tracer()
         self._m_queries = reg.counter("serve_queries_total")
@@ -489,56 +476,24 @@ class GraphSearcher:
     def _reverse_source(self):
         """Where this walk reads in-edges from (None = out-edges only).
 
-        Incremental mode returns the index's maintained
+        The index's maintained
         :class:`~repro.graph.reverse.ReverseAdjacency` (built once,
-        patched per mutation); rebuild mode refreshes the private CSR
-        copy and returns this searcher as the marker for it.
+        patched per mutation).
         """
         if not self.use_reverse_edges:
             return None
-        if self.reverse == "incremental":
-            return self.index.reverse_index()
-        self._refresh_reverse_index()
-        return self
-
-    def _refresh_reverse_index(self) -> None:
-        """(Re)build the rebuild-mode in-edge CSR if the graph mutated.
-
-        One vectorised O(n·k) group-by, amortised over every query
-        served between two index mutations. This is the pre-incremental
-        fallback — and the from-scratch oracle the property tests pit
-        the maintained reverse index against.
-        """
-        if self._rev_version == self.index.version:
-            return
-        heaps = self.index.graph.heaps
-        valid = heaps.ids.ravel() != EMPTY
-        dst = heaps.ids.ravel()[valid].astype(np.int64)
-        src = np.repeat(np.arange(heaps.n, dtype=np.int64), heaps.k)[valid]
-        order = np.argsort(dst, kind="stable")
-        self._rev_sources = src[order]
-        self._rev_indptr = np.searchsorted(
-            dst[order], np.arange(heaps.n + 1, dtype=np.int64)
-        )
-        self._rev_version = self.index.version
+        return self.index.reverse_index()
 
     def _adjacent_parts(self, graph, node: int, rev):
         """``(out, incoming)`` neighbour arrays of ``node``.
 
-        ``incoming`` is ``None`` when in-edges are disabled; both
-        reverse sources return it sorted by id. ``out`` is in heap slot
-        order (arbitrary).
+        ``incoming`` is ``None`` when in-edges are disabled, else
+        sorted by id. ``out`` is in heap slot order (arbitrary).
         """
         out = graph.neighbors(node)
         if rev is None:
             return out, None
-        if rev is self:  # rebuild-mode CSR copy
-            incoming = self._rev_sources[
-                self._rev_indptr[node] : self._rev_indptr[node + 1]
-            ]
-        else:  # the index's maintained ReverseAdjacency
-            incoming = rev.holders(node)
-        return out, incoming
+        return out, rev.holders(node)
 
     def _adjacent(self, graph, node: int, rev) -> np.ndarray:
         """Neighbours of ``node`` in either edge direction, sorted by id.

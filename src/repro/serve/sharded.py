@@ -1,4 +1,4 @@
-"""Sharded query serving — one front end, N searcher workers.
+"""Sharded query serving — one front end, N searcher threads.
 
 A single :class:`~repro.serve.engine.QueryEngine` walks queries one at
 a time; a CPU-bound serving tier wants the deduped misses of each
@@ -6,32 +6,23 @@ batch spread across workers. :class:`ShardedQueryEngine` keeps the
 front-end duties in one place — canonicalisation, the shared LRU
 result cache with partial invalidation, batch dedup — and partitions
 the remaining misses by a stable hash of the canonical profile across
-``n_shards`` workers:
+``n_shards`` workers: one :class:`GraphSearcher` per shard on a shared
+:class:`~concurrent.futures.ThreadPoolExecutor`. The similarity
+kernels spend their time in numpy/scipy calls that release the GIL,
+and walks take the index's readers-writer lock, so queries overlap
+each other and only serialise against mutations.
 
-* ``executor="thread"`` (default): one :class:`GraphSearcher` per
-  shard on a shared :class:`~concurrent.futures.ThreadPoolExecutor`.
-  The similarity kernels spend their time in numpy/scipy calls that
-  release the GIL, and walks take the index's readers-writer lock, so
-  queries overlap each other and only serialise against mutations —
-  this is the mode that stays correct under write storms.
-* ``executor="process"``: workers hold a pickled **snapshot** of the
-  index and answer from it with zero shared state. A mutation marks
-  the pool stale and the next batch re-forks it from the live index —
-  cheap for read-mostly tiers, wasteful under write storms (use
-  threads there). Results are identical to thread mode because the
-  searcher is deterministic in the index state.
-
-``replicas=True`` upgrades either executor to the **replica tier**
+``replicas=True`` upgrades the shards to the **replica tier**
 (:class:`~repro.serve.replica.ReplicaSet`): every shard owns a full
 clone of the index — its own graph, reverse adjacency, router and
 fingerprints — and converges after each primary mutation by applying
-the shipped journal deltas instead of re-reading (threads) or
-re-forking (processes) shared state. Walks then touch no primary lock
-at all, and batch misses are routed across the replicas by a
-configurable policy: ``"round_robin"`` (default — any replica can
-serve any query, so spread them evenly), ``"least_loaded"`` (route to
-the replica with the fewest in-flight misses) or ``"hash"`` (the
-stable profile-hash partition the shared-state modes use).
+the shipped journal deltas instead of re-reading shared state. Walks
+then touch no primary lock at all, and batch misses are routed across
+the replicas by a configurable policy: ``"round_robin"`` (default —
+any replica can serve any query, so spread them evenly),
+``"least_loaded"`` (route to the replica with the fewest in-flight
+misses) or ``"hash"`` (the stable profile-hash partition the
+shared-state shards use).
 
 Sharding never changes answers: the same deterministic searcher
 configuration runs in every worker against converged state, so a
@@ -41,11 +32,10 @@ sharded batch returns exactly what a single-worker engine would
 
 from __future__ import annotations
 
-import pickle
 import threading
 import zlib
 from collections import OrderedDict
-from concurrent.futures import ProcessPoolExecutor, ThreadPoolExecutor
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import numpy as np
@@ -65,37 +55,18 @@ from .searcher import GraphSearcher, SearchResult
 __all__ = ["ShardedQueryEngine"]
 
 
-# Process-mode worker state: each worker process builds one searcher
-# from the snapshot shipped at pool (re)creation and serves from it.
-_WORKER: dict = {}
-
-
-def _proc_init(payload: bytes, searcher_kwargs: dict) -> None:
-    index = pickle.loads(payload)
-    _WORKER["searcher"] = GraphSearcher(index, **searcher_kwargs)
-
-
-def _proc_search(profiles: list, k: int) -> list[SearchResult]:
-    searcher = _WORKER["searcher"]
-    return [searcher.top_k(p, k=k) for p in profiles]
-
-
 class ShardedQueryEngine(AsyncSearchMixin):
     """Batch query serving partitioned across ``n_shards`` workers.
 
     Args:
         index: the maintained index to serve from (the primary, when
             replicas are on — mutations always apply there, once).
-        n_shards: worker (or replica) count; deduped batch misses are
-            spread across them.
+        n_shards: worker thread (or replica) count; deduped batch
+            misses are spread across them.
         k: default neighbours per query.
         cache_size: shared front-end LRU size (0 disables caching).
         invalidation: cache mode, ``"partial"`` (default) or
             ``"full"`` — same contracts as :class:`QueryEngine`.
-        executor: ``"thread"`` (default; safe under concurrent
-            mutations) or ``"process"`` (snapshot workers, re-forked
-            after mutations — read-mostly tiers; with ``replicas=True``
-            the re-forking is replaced by delta shipping).
         replicas: give every shard its own replica index converging by
             shipped journal deltas (see module docstring) instead of
             sharing the primary's state.
@@ -103,8 +74,9 @@ class ShardedQueryEngine(AsyncSearchMixin):
             ``"round_robin"`` (default with replicas),
             ``"least_loaded"`` or ``"hash"``. Shared-state shards
             (``replicas=False``) always hash-partition.
-        searcher_kwargs: forwarded to each shard's
-            :class:`GraphSearcher` (``ef``, ``budget``, ``rerank``, …).
+        searcher_kwargs: forwarded to each shard's (or replica's)
+            :class:`GraphSearcher` (``ef``, ``budget``, ``rerank``, …),
+            together with ``registry`` and ``tracer``.
         hydrate: forwarded to :class:`ReplicaSet` — bootstrap the
             initial replicas from persisted state (e.g.
             :meth:`repro.persist.DurableIndex.hydrate`) instead of
@@ -113,8 +85,8 @@ class ShardedQueryEngine(AsyncSearchMixin):
             and batch metrics, labelled ``frontend="sharded"``
             (default: the process-wide registry).
         tracer: :class:`~repro.obs.Tracer` forwarded to the per-shard
-            searchers (worker threads record their own ``search``
-            root spans).
+            (or per-replica) searchers (worker threads record their
+            own ``search`` root spans).
     """
 
     def __init__(
@@ -125,7 +97,6 @@ class ShardedQueryEngine(AsyncSearchMixin):
         k: int = 10,
         cache_size: int = 1024,
         invalidation: str = "partial",
-        executor: str = "thread",
         replicas: bool = False,
         routing: str | None = None,
         searcher_kwargs: dict | None = None,
@@ -135,8 +106,6 @@ class ShardedQueryEngine(AsyncSearchMixin):
     ) -> None:
         if n_shards < 1:
             raise ValueError("n_shards must be >= 1")
-        if executor not in ("thread", "process"):
-            raise ValueError("executor must be 'thread' or 'process'")
         if routing is None:
             routing = "round_robin" if replicas else "hash"
         if routing not in ("hash", "round_robin", "least_loaded"):
@@ -153,7 +122,6 @@ class ShardedQueryEngine(AsyncSearchMixin):
         self.index = index
         self.n_shards = int(n_shards)
         self.default_k = int(k)
-        self.executor = executor
         self.replicas = bool(replicas)
         self.routing = routing
         self.searcher_kwargs = dict(searcher_kwargs or {})
@@ -182,49 +150,30 @@ class ShardedQueryEngine(AsyncSearchMixin):
             reg.histogram("shard_batch_seconds", frontend="sharded", shard=str(i))
             for i in range(self.n_shards)
         ]
-        self._pool_lock = threading.Lock()
-        self._stale = True  # process pool not yet forked
-        self.reforks = 0  # legacy process-snapshot pool re-creations
         self._init_async()
         self._replica_set: ReplicaSet | None = None
         self._route_lock = threading.Lock()
         self._rr = 0  # round-robin cursor
         self._inflight = [0] * self.n_shards  # least-loaded accounting
+        # Every walk, on a shard or on a replica, reports to this
+        # engine's registry and tracer.
+        walk_kwargs = dict(self.searcher_kwargs, registry=registry, tracer=tracer)
         if self.replicas:
             self._replica_set = ReplicaSet(
                 index,
                 self.n_shards,
-                mode=executor,
-                searcher_kwargs=self.searcher_kwargs,
+                searcher_kwargs=walk_kwargs,
                 hydrate=hydrate,
-                registry=reg,
+                registry=registry,
             )
             self._searchers = []
-            self._shard_locks = []
-            # Dispatch pool: thread replicas walk on these workers;
-            # process replicas use them to overlap waiting on the N
-            # pinned worker pools.
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_shards, thread_name_prefix="repro-replica"
-            )
-        elif executor == "thread":
-            self._searchers = [
-                GraphSearcher(
-                    index, registry=registry, tracer=tracer, **self.searcher_kwargs
-                )
-                for _ in range(self.n_shards)
-            ]
-            # Rebuild-mode searchers mutate private CSR state; a
-            # per-shard lock keeps a shard reentrant when two batches
-            # land on it concurrently.
-            self._shard_locks = [threading.Lock() for _ in range(self.n_shards)]
-            self._pool = ThreadPoolExecutor(
-                max_workers=self.n_shards, thread_name_prefix="repro-shard"
-            )
         else:
-            self._searchers = []
-            self._shard_locks = []
-            self._pool = None
+            self._searchers = [
+                GraphSearcher(index, **walk_kwargs) for _ in range(self.n_shards)
+            ]
+        self._pool = ThreadPoolExecutor(
+            max_workers=self.n_shards, thread_name_prefix="repro-shard"
+        )
         self._view = index.deltas.register(_CacheView(self, "sharded_cache"))
 
     # ------------------------------------------------------------------
@@ -241,8 +190,6 @@ class ShardedQueryEngine(AsyncSearchMixin):
             touched=_signup_contacts(delta.event, delta.edges),
             clusters=_resplit_clusters(delta),
         )
-        if self.executor == "process" and not self.replicas:
-            self._stale = True  # workers hold a pre-mutation snapshot
 
     def _shard_of(self, key: tuple) -> int:
         """Stable profile→shard assignment (independent of batch order)."""
@@ -268,10 +215,7 @@ class ShardedQueryEngine(AsyncSearchMixin):
     def _run_shard(self, shard: int, items: list, k: int) -> list:
         t0 = perf_counter()
         searcher = self._searchers[shard]
-        out = []
-        with self._shard_locks[shard]:
-            for key, profile in items:
-                out.append((key, searcher.top_k(profile, k=k)))
+        out = [(key, searcher.top_k(profile, k=k)) for key, profile in items]
         self._c_shard_misses[shard].inc(len(items))
         self._h_shard_batch[shard].observe(perf_counter() - t0)
         return out
@@ -289,27 +233,6 @@ class ShardedQueryEngine(AsyncSearchMixin):
             if self.routing == "least_loaded":
                 with self._route_lock:
                     self._inflight[shard] -= len(items)
-
-    def _ensure_process_pool(self) -> ProcessPoolExecutor:
-        """(Re)fork the worker pool if stale; caller holds ``_pool_lock``.
-
-        The stale flag is cleared *before* the snapshot is taken: a
-        mutation landing mid-pickle re-raises it (one redundant re-fork,
-        never a lost one), and the snapshot itself is read under the
-        index lock so a concurrent mutation cannot tear it.
-        """
-        if self._pool is None or self._stale:
-            if self._pool is not None:
-                self._pool.shutdown()
-            self._stale = False
-            self.reforks += 1
-            payload = self.index.snapshot_bytes()
-            self._pool = ProcessPoolExecutor(
-                max_workers=self.n_shards,
-                initializer=_proc_init,
-                initargs=(payload, self.searcher_kwargs),
-            )
-        return self._pool
 
     # ------------------------------------------------------------------
 
@@ -360,38 +283,14 @@ class ShardedQueryEngine(AsyncSearchMixin):
                     shards.setdefault(self._shard_of(key), []).append(
                         (key, canon[positions[0]])
                     )
-            if self._replica_set is not None:
-                futures = [
-                    self._pool.submit(self._run_replica, shard, items, k)
-                    for shard, items in shards.items()
-                ]
-                for future in futures:
-                    for key, result in future.result():
-                        answered[key] = result
-            elif self.executor == "thread":
-                futures = [
-                    self._pool.submit(self._run_shard, shard, items, k)
-                    for shard, items in shards.items()
-                ]
-                for future in futures:
-                    for key, result in future.result():
-                        answered[key] = result
-            else:
-                # Submit under the pool lock: another thread's re-fork
-                # (or close()) must not shut this pool down between the
-                # staleness check and the submits.
-                with self._pool_lock:
-                    pool = self._ensure_process_pool()
-                    t_sub = perf_counter()
-                    futures = [
-                        pool.submit(_proc_search, [p for _, p in items], k)
-                        for items in shards.values()
-                    ]
-                for future, (shard, items) in zip(futures, shards.items()):
-                    for (key, _), result in zip(items, future.result()):
-                        answered[key] = result
-                    self._c_shard_misses[shard].inc(len(items))
-                    self._h_shard_batch[shard].observe(perf_counter() - t_sub)
+            run = self._run_replica if self._replica_set is not None else self._run_shard
+            futures = [
+                self._pool.submit(run, shard, items, k)
+                for shard, items in shards.items()
+            ]
+            for future in futures:
+                for key, result in future.result():
+                    answered[key] = result
             for key, result in answered.items():
                 self._cache.put(
                     key, version, result, live_version=lambda: self.index.version
@@ -428,10 +327,7 @@ class ShardedQueryEngine(AsyncSearchMixin):
             self._cache.clear()
         if self._replica_set is not None:
             self._replica_set.close()
-        with self._pool_lock:
-            if self._pool is not None:
-                self._pool.shutdown()
-                self._pool = None
+        self._pool.shutdown()
 
     def stats(self) -> dict:
         """Operational counters for dashboards and tests.
@@ -453,15 +349,12 @@ class ShardedQueryEngine(AsyncSearchMixin):
                 "invalidation_mode": self._cache.mode,
                 "cache_entries": len(self._cache),
                 "n_shards": self.n_shards,
-                "executor": self.executor,
                 "routing": self.routing,
-                "reforks_total": self.reforks,
                 "version": self.index.version,
             }
         if self._replica_set is not None:
             replica = self._replica_set.stats()
             out.update(
-                replica_mode=replica["mode"],
                 deltas_shipped_total=replica["deltas_shipped_total"],
                 resyncs_total=replica["resyncs_total"],
                 replica_lag=replica["lag"],

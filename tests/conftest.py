@@ -6,6 +6,39 @@ import numpy as np
 import pytest
 
 from repro.data import Dataset, SyntheticSpec, generate
+from repro.deltas import DerivedView
+
+
+class _TapView(DerivedView):
+    """Calls ``fn`` with every published delta.
+
+    ``scored=True`` declares ``needs_scored`` and passes the shippable
+    :class:`~repro.online.ReplicaDelta` (``delta.replica``) instead.
+    """
+
+    name = "test_tap"
+
+    def __init__(self, fn, scored: bool = False) -> None:
+        super().__init__()
+        self.fn = fn
+        self.needs_scored = scored
+
+    def apply(self, delta) -> None:
+        self.fn(delta.replica if self.needs_scored else delta)
+
+    def resync(self) -> None:
+        pass
+
+
+@pytest.fixture()
+def tap():
+    """``tap(index, fn, scored=False)`` registers a :class:`_TapView`.
+
+    Returns the view; ``view.close()`` detaches it.
+    """
+    return lambda index, fn, scored=False: index.deltas.register(
+        _TapView(fn, scored)
+    )
 
 
 @pytest.fixture(scope="session")

@@ -8,9 +8,8 @@ Covers the framework half and its contracts:
 * :class:`DerivedView` base behaviour — cursor adoption on register,
   ``apply``/``resync`` must be implemented, idempotent close,
   snapshot/hydrate cursor plumbing;
-* the one-release deprecation shims around ``OnlineIndex.subscribe`` /
-  ``subscribe_deltas`` — warning emission, delivery parity, the
-  ``ValueError`` unsubscribe contract, clone/pickle dropping them;
+* clones and pickles start with a fresh bus that carries only the
+  index's own reverse-adjacency view;
 * the :class:`AntiEntropy` auditor — the acceptance scenario: an
   injected replica divergence (right version, wrong edges) is detected
   and repaired, while merely lagging replicas are left alone.
@@ -29,11 +28,9 @@ import pytest
 from repro import C2Params
 from repro.deltas import (
     AntiEntropy,
-    CallbackView,
     Delta,
     DeltaBus,
     DerivedView,
-    ReplicaDeltaView,
 )
 from repro.graph import ReverseAdjacency, edge_digest
 from repro.online import OnlineIndex, ReplicaDelta
@@ -225,56 +222,17 @@ class TestDerivedView:
 
 
 # ----------------------------------------------------------------------
-# Deprecation shims
+# Clones and pickles drop registered views
 # ----------------------------------------------------------------------
 
 
 class TestDeprecationShims:
-    def test_subscribe_warns_and_delivers(self, index):
-        events = []
-
-        def listener(event, user, deltas):
-            events.append((event, user, len(deltas)))
-
-        with pytest.warns(DeprecationWarning, match="subscribe is deprecated"):
-            index.subscribe(listener)
-        assert isinstance(index.deltas.view("legacy_callback"), CallbackView)
-        user = index.add_user(np.arange(8))
-        assert events and events[-1][0] == "add_user" and events[-1][1] == user
-        with pytest.warns(DeprecationWarning):
-            index.unsubscribe(listener)
-        index.add_user(np.arange(8, 16))
-        assert len(events) == 1  # detached: no further delivery
-
-    def test_subscribe_deltas_warns_and_ships_scored(self, index):
-        shipped = []
-        with pytest.warns(DeprecationWarning, match="subscribe_deltas"):
-            index.subscribe_deltas(shipped.append)
-        view = index.deltas.view("legacy_delta_callback")
-        assert isinstance(view, ReplicaDeltaView)
-        assert index.deltas.needs_scored
-        index.add_user(np.arange(8))
-        assert isinstance(shipped[-1], ReplicaDelta)
-        with pytest.warns(DeprecationWarning):
-            index.unsubscribe_deltas(shipped.append)
-        assert not index.deltas.needs_scored
-
-    def test_unsubscribe_unknown_callback_raises(self, index):
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                index.unsubscribe(lambda *a: None)
-        with pytest.warns(DeprecationWarning):
-            with pytest.raises(ValueError):
-                index.unsubscribe_deltas(lambda d: None)
-
     def test_clone_drops_legacy_views_but_keeps_bus(self, index, rng):
-        events = []
-        with pytest.warns(DeprecationWarning):
-            index.subscribe(lambda *a: events.append(a))
+        listener = index.deltas.register(_Recorder())
         clone = index.clone()
         assert [v.name for v in clone.deltas.views()] == ["reverse_adjacency"]
         clone.add_user(np.arange(8))
-        assert events == []  # listeners never leak across the clone
+        assert listener.deltas == []  # views never leak across the clone
         # The recreated bus still stamps and delivers on the clone.
         view = clone.deltas.register(_Recorder())
         _churn(clone, rng, n=10)
@@ -313,7 +271,7 @@ class TestConsumerRegistration:
 
     def test_engine_and_replica_views_attach_and_detach(self, index):
         engine = QueryEngine(index, k=K, invalidation="partial")
-        replicas = ReplicaSet(index, 1, mode="thread")
+        replicas = ReplicaSet(index, 1)
         names = [v.name for v in index.deltas.views()]
         assert "result_cache" in names and "replica_ship" in names
         assert index.deltas.needs_scored  # shipping wants the scored export
@@ -349,7 +307,7 @@ class TestAntiEntropy:
             AntiEntropy(index, _StubReplicas([]), every=0)
 
     def test_detects_and_repairs_injected_divergence(self, index, rng):
-        replicas = ReplicaSet(index, 2, mode="thread")
+        replicas = ReplicaSet(index, 2)
         auditor = index.deltas.register(AntiEntropy(index, replicas, every=4))
         _churn(index, rng, n=10)
         assert replicas.converged()

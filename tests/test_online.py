@@ -437,13 +437,13 @@ class TestResplit:
                 if cid >= 0:
                     assert int(u) in index._members[cid]
 
-    def test_resplit_emits_one_global_event(self, small_dataset):
+    def test_resplit_emits_one_global_event(self, small_dataset, tap):
         index = OnlineIndex.build(
             small_dataset, params=_params(split_threshold=40),
             auto_resplit=True,
         )
         events = []
-        index.subscribe(lambda event, user, deltas: events.append((event, user)))
+        tap(index, lambda delta: events.append((delta.event, delta.user)))
         rng = np.random.default_rng(5)
         donor = index.dataset.profile(0)
         while index.stats()["resplits_total"] == 0:

@@ -33,7 +33,7 @@ from repro.persist import (
 )
 from repro.persist.wal import _HEADER, MAGIC
 from repro.serve import GraphSearcher, ReplicaSet
-from repro.serve.replica import edge_digest
+from repro.graph.heap import edge_digest
 
 K = 6
 

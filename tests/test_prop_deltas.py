@@ -170,7 +170,7 @@ def test_sharded_cache_resync_equals_fresh_frontend(seed):
 @pytest.mark.parametrize("seed", SEEDS)
 def test_replica_view_resync_equals_incremental(seed):
     index = _index(seed)
-    replicas = ReplicaSet(index, 2, mode="thread")
+    replicas = ReplicaSet(index, 2)
     try:
         _churn(index, np.random.default_rng(seed + 40))
         want = _state(index)
@@ -251,7 +251,7 @@ def test_journal_metrics_resync_equals_incremental(seed):
 def test_anti_entropy_heals_random_corruptions_on_the_tape(seed):
     index = _index(seed)
     rng = np.random.default_rng(seed + 70)
-    replicas = ReplicaSet(index, 2, mode="thread")
+    replicas = ReplicaSet(index, 2)
     auditor = index.deltas.register(AntiEntropy(index, replicas, every=8))
     try:
         for round_ in range(4):

@@ -30,7 +30,7 @@ from repro.graph.reverse import ReverseAdjacency
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
 from repro.serve import GraphSearcher, ReplicaSet
-from repro.serve.replica import edge_digest
+from repro.graph.heap import edge_digest
 
 K = 6
 N_OPS = 40
@@ -257,7 +257,7 @@ def test_replica_parity_through_batched_replay(seed):
     """Thread replicas fed shipped deltas converge via the batched path."""
     index = _index(seed)
     index.reverse_index()
-    replicas = ReplicaSet(index, 2, mode="thread")
+    replicas = ReplicaSet(index, 2)
     try:
         rng = np.random.default_rng(seed + 2000)
         for _ in range(N_OPS):

@@ -127,17 +127,17 @@ def _index(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_journal_metrics_match_ground_truth_tape(seed):
+def test_journal_metrics_match_ground_truth_tape(seed, tap):
     index = _index(seed)
     registry = MetricsRegistry()
     truth = {"counts": {}, "added": 0, "removed": 0}
 
-    def oracle(event, user, deltas):
-        truth["counts"][event] = truth["counts"].get(event, 0) + 1
-        for _u, _v, was_added, *_ in deltas:
+    def oracle(delta):
+        truth["counts"][delta.event] = truth["counts"].get(delta.event, 0) + 1
+        for _u, _v, was_added, *_ in delta.edges:
             truth["added" if was_added else "removed"] += 1
 
-    index.subscribe(oracle)
+    feed = tap(index, oracle)
     jm = JournalMetrics(index, registry=registry)
     resplits_before = index.stats()["resplits_total"]
     try:
@@ -184,7 +184,7 @@ def test_journal_metrics_match_ground_truth_tape(seed):
         )
     finally:
         jm.close()
-        index.unsubscribe(oracle)
+        feed.close()
 
 
 # ----------------------------------------------------------------------

@@ -33,7 +33,7 @@ from repro.online import OnlineIndex
 from repro.persist import DurableIndex, WriteAheadLog
 from repro.persist.wal import _HEADER, MAGIC
 from repro.serve import GraphSearcher
-from repro.serve.replica import edge_digest
+from repro.graph.heap import edge_digest
 
 K = 6
 N_OPS = 40

@@ -9,11 +9,8 @@ replication contract against strict oracles:
   routing tables, cluster membership — at every step, and its walks
   return exactly the primary's answers;
 * a **lagging** replica (deltas buffered, applied later in random
-  chunks — the process transport's queue, minus the processes)
-  converges to the same state once drained, and re-applying already
-  seen deltas is an idempotent no-op;
-* the **process transport** end-to-end returns single-worker answers
-  after churn with zero snapshot re-forks.
+  chunks) converges to the same state once drained, and re-applying
+  already seen deltas is an idempotent no-op.
 
 The CI property matrix shifts the seed base via ``REPRO_PROP_SEED`` so
 tier-1 stays at two seeds per run but interleavings vary across jobs.
@@ -27,8 +24,8 @@ import pytest
 from repro import C2Params
 from repro.data import SyntheticSpec, generate
 from repro.online import OnlineIndex
-from repro.serve import GraphSearcher, QueryEngine, ReplicaSet, ShardedQueryEngine
-from repro.serve.replica import edge_digest
+from repro.graph.heap import edge_digest
+from repro.serve import GraphSearcher, ReplicaSet
 
 K = 6
 N_OPS = 40
@@ -95,7 +92,7 @@ def _assert_state_parity(replica, primary):
 def test_synchronous_replica_is_identical_at_every_step(seed):
     primary = _index(seed)
     primary.reverse_index()  # maintained on both sides from the start
-    replicas = ReplicaSet(primary, 2, mode="thread")
+    replicas = ReplicaSet(primary, 2)
     walk_primary = GraphSearcher(primary)
     walk_replica = GraphSearcher(replicas.replica(0))
     rng = np.random.default_rng(seed + 600)
@@ -118,14 +115,14 @@ def test_synchronous_replica_is_identical_at_every_step(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lagging_replica_converges_once_drained(seed):
-    """The process-queue semantics, process-free: buffer, drain in chunks."""
+def test_lagging_replica_converges_once_drained(seed, tap):
+    """Buffer the shipped deltas, drain them in random chunks."""
     primary = _index(seed)
     primary.reverse_index()
     replica = primary.clone()
     replica.reverse_index()
     queue = []
-    primary.subscribe_deltas(queue.append)
+    feed = tap(primary, queue.append, scored=True)
     rng = np.random.default_rng(seed + 700)
     try:
         for _ in range(N_OPS):
@@ -143,23 +140,23 @@ def test_lagging_replica_converges_once_drained(seed):
         # Idempotence: a replayed tail (a retry after a worker hiccup)
         # changes nothing.
         replayed = []
-        primary.subscribe_deltas(replayed.append)
+        replay_feed = tap(primary, replayed.append, scored=True)
         _mutate(primary, np.random.default_rng(seed + 701))
         for delta in replayed:
             assert replica.apply_delta(delta)
             assert not replica.apply_delta(delta)
         _assert_state_parity(replica, primary)
-        primary.unsubscribe_deltas(replayed.append)
+        replay_feed.close()
     finally:
-        primary.unsubscribe_deltas(queue.append)
+        feed.close()
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_snapshot_raced_deltas_are_skipped(seed):
+def test_snapshot_raced_deltas_are_skipped(seed, tap):
     """A delta older than the snapshot it joined must be a no-op."""
     primary = _index(seed)
     deltas = []
-    primary.subscribe_deltas(deltas.append)
+    feed = tap(primary, deltas.append, scored=True)
     rng = np.random.default_rng(seed + 800)
     try:
         for _ in range(5):
@@ -169,33 +166,5 @@ def test_snapshot_raced_deltas_are_skipped(seed):
             assert not clone.apply_delta(delta)
         _assert_state_parity(clone, primary)
     finally:
-        primary.unsubscribe_deltas(deltas.append)
+        feed.close()
 
-
-@pytest.mark.parametrize("seed", SEEDS[:1])
-def test_process_transport_matches_single_worker_after_churn(seed):
-    """End-to-end: pinned worker pools, pickled delta queue, no re-forks."""
-    primary = _index(seed)
-    primary.reverse_index()
-    engine = ShardedQueryEngine(
-        primary, 2, executor="process", replicas=True, cache_size=0
-    )
-    oracle = QueryEngine(primary, cache_size=0)
-    rng = np.random.default_rng(seed + 900)
-    try:
-        for round_ in range(4):
-            for _ in range(5):
-                _mutate(primary, rng)
-            batch = [_random_profile(primary, rng) for _ in range(6)]
-            for got, want in zip(
-                engine.search_many(batch, k=K), oracle.search_many(batch, k=K)
-            ):
-                assert np.array_equal(got.ids, want.ids)
-                assert got.scores == pytest.approx(want.scores)
-        stats = engine.stats()
-        assert stats["resyncs_total"] == 0
-        assert stats["deltas_shipped_total"] == primary.version
-        assert engine.replica_set.converged()
-    finally:
-        engine.close()
-        oracle.close()

@@ -35,7 +35,7 @@ from repro.data import SyntheticSpec, generate
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
 from repro.serve import GraphSearcher
-from repro.serve.replica import edge_digest
+from repro.graph.heap import edge_digest
 
 K = 6
 N_OPS = 260
@@ -70,7 +70,7 @@ def _churn(index, seed, n_ops=N_OPS, tracker=None):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_resplit_partitions_match_batch_split_oracle(seed):
+def test_resplit_partitions_match_batch_split_oracle(seed, tap):
     """Each online re-split equals a batch split of the same members.
 
     The oracle runs inside the journal callback — at that instant the
@@ -112,7 +112,7 @@ def test_resplit_partitions_match_batch_split_oracle(seed):
         assert got == want
         checked.append(root)
 
-    index.subscribe_deltas(oracle)
+    tap(index, oracle, scored=True)
     _churn(index, seed)
     # The tape must actually have exercised the mechanism.
     assert checked and index.stats()["resplits_total"] > 0
@@ -155,14 +155,14 @@ def test_drift_curve_reads_index_stats(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lagging_replica_converges_through_resplits(seed):
+def test_lagging_replica_converges_through_resplits(seed, tap):
     """Buffered journal deltas replay re-splits to the identical state."""
     primary = _index(seed)
     primary.reverse_index()
     replica = primary.clone()
     replica.reverse_index()
     queue: list = []
-    primary.subscribe_deltas(queue.append)
+    tap(primary, queue.append, scored=True)
     rng = np.random.default_rng(seed + 500)
     world = IndexWorld(primary)
     scenario = make_scenario("churn", N_OPS, seed=seed, bundle_size=60)

@@ -7,7 +7,7 @@ ids, identical float scores, identical ``evaluations``/``hops``
 charges and identical ``routed`` provenance. This suite pins that
 promise on randomized indexes and mutation tapes across the full
 parameter grid (k/ef/budget/exclude/extra_seeds, both similarity
-backends, both reverse-edge sources, rerank on/off) including the
+backends, rerank on/off) including the
 degenerate corners: empty seed sets, budgets smaller than the seed
 count, all-excluded neighbourhoods, and post-re-split indexes.
 
@@ -91,37 +91,34 @@ def test_numpy_equals_python_across_parameter_grid(seed, backend):
     rng = np.random.default_rng(seed + 11)
     for _ in range(25):
         _mutate(index, rng)
-    for reverse in ("incremental", "rebuild"):
-        for rerank in (None, "exact"):
-            s_np, s_py = _pair(index, reverse=reverse, rerank=rerank)
-            for trial in range(10):
-                profile = _random_profile(index, rng)
-                k = int(rng.integers(1, 15))
-                ef = int(rng.integers(1, 40))
-                budget = (None, int(rng.integers(1, 180)), 3)[trial % 3]
-                exclude = rng.choice(
+    for rerank in (None, "exact"):
+        s_np, s_py = _pair(index, rerank=rerank)
+        for trial in range(10):
+            profile = _random_profile(index, rng)
+            k = int(rng.integers(1, 15))
+            ef = int(rng.integers(1, 40))
+            budget = (None, int(rng.integers(1, 180)), 3)[trial % 3]
+            exclude = rng.choice(
+                index.dataset.n_users,
+                size=int(rng.integers(0, 10)), replace=False,
+            )
+            extra = (
+                rng.choice(
                     index.dataset.n_users,
-                    size=int(rng.integers(0, 10)), replace=False,
+                    size=int(rng.integers(0, 5)), replace=False,
                 )
-                extra = (
-                    rng.choice(
-                        index.dataset.n_users,
-                        size=int(rng.integers(0, 5)), replace=False,
-                    )
-                    if trial % 2
-                    else None
-                )
-                a = s_np.top_k(
-                    profile, k=k, ef=ef, budget=budget,
-                    exclude=exclude, extra_seeds=extra,
-                )
-                b = s_py.top_k(
-                    profile, k=k, ef=ef, budget=budget,
-                    exclude=exclude, extra_seeds=extra,
-                )
-                _assert_identical(
-                    a, b, f"(rev={reverse} rerank={rerank} trial={trial})"
-                )
+                if trial % 2
+                else None
+            )
+            a = s_np.top_k(
+                profile, k=k, ef=ef, budget=budget,
+                exclude=exclude, extra_seeds=extra,
+            )
+            b = s_py.top_k(
+                profile, k=k, ef=ef, budget=budget,
+                exclude=exclude, extra_seeds=extra,
+            )
+            _assert_identical(a, b, f"(rerank={rerank} trial={trial})")
 
 
 @pytest.mark.parametrize("seed", SEEDS)

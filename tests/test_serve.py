@@ -183,8 +183,6 @@ class TestExactRerank:
     def test_invalid_params_rejected(self, served_index):
         with pytest.raises(ValueError):
             GraphSearcher(served_index, rerank="approximate")
-        with pytest.raises(ValueError):
-            GraphSearcher(served_index, reverse="csr")
 
     def test_rerank_scores_are_exact_jaccard(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params(), backend="goldfinger")

@@ -1,7 +1,7 @@
 """Tests for the replica serving tier (repro.serve.replica + sharded).
 
 The tier's contracts: replicas converge to the primary's exact serving
-state by applying shipped journal deltas (never by re-forking, outside
+state by applying shipped journal deltas (never by re-cloning, outside
 ``rebuild``), any replica answers exactly what the primary would,
 miss routing only shapes load, and the sharded front end's
 ``search_async`` coalesces concurrent awaiters exactly like
@@ -18,7 +18,7 @@ import pytest
 from repro import C2Params
 from repro.online import OnlineIndex, StaleReplicaError
 from repro.serve import QueryEngine, ReplicaSet, ShardedQueryEngine
-from repro.serve.replica import edge_digest
+from repro.graph.heap import edge_digest
 
 
 def _params(**kw):
@@ -51,13 +51,11 @@ class TestReplicaSet:
         index = OnlineIndex.build(small_dataset, params=_params())
         with pytest.raises(ValueError):
             ReplicaSet(index, 0)
-        with pytest.raises(ValueError):
-            ReplicaSet(index, 2, mode="fiber")
 
     def test_thread_replicas_track_every_mutation(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
         index.reverse_index()
-        replicas = ReplicaSet(index, 2, mode="thread")
+        replicas = ReplicaSet(index, 2)
         try:
             _churn(index, np.random.default_rng(0), n_ops=20)
             assert replicas.converged()
@@ -77,7 +75,7 @@ class TestReplicaSet:
 
     def test_rebuild_forces_counted_resync(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        replicas = ReplicaSet(index, 2, mode="thread")
+        replicas = ReplicaSet(index, 2)
         try:
             index.rebuild()
             assert replicas.stats()["resyncs_total"] == 2  # one per replica
@@ -87,16 +85,16 @@ class TestReplicaSet:
 
     def test_close_detaches_shipping(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        replicas = ReplicaSet(index, 2, mode="thread")
+        replicas = ReplicaSet(index, 2)
         replicas.close()
         index.add_user([1, 2, 3])
         assert replicas.stats()["deltas_shipped_total"] == 0
 
-    def test_stale_delta_stream_raises_and_heals(self, small_dataset):
+    def test_stale_delta_stream_raises_and_heals(self, small_dataset, tap):
         index = OnlineIndex.build(small_dataset, params=_params())
         clone = index.clone()
         deltas = []
-        index.subscribe_deltas(deltas.append)
+        feed = tap(index, deltas.append, scored=True)
         try:
             index.add_user([1, 2, 3])
             index.add_user([4, 5, 6])
@@ -107,7 +105,7 @@ class TestReplicaSet:
             assert not clone.apply_delta(deltas[1])  # idempotent skip
             assert edge_digest(clone.graph.heaps) == edge_digest(index.graph.heaps)
         finally:
-            index.unsubscribe_deltas(deltas.append)
+            feed.close()
 
 
 class TestReplicaRouting:
@@ -167,7 +165,6 @@ class TestReplicaRouting:
             index.add_user([1, 2, 3])
             stats = engine.stats()
             assert stats["routing"] == "round_robin"
-            assert stats["replica_mode"] == "thread"
             assert stats["deltas_shipped_total"] == 1
             assert stats["resyncs_total"] == 0
             assert stats["replica_lag"] == 0
@@ -278,7 +275,7 @@ class TestSignupInvalidation:
         finally:
             engine.close()
 
-    def test_unrelated_entries_still_survive_a_signup(self, small_dataset):
+    def test_unrelated_entries_still_survive_a_signup(self, small_dataset, tap):
         index = OnlineIndex.build(small_dataset, params=_params())
         engine = QueryEngine(index, k=5)
         try:
@@ -286,8 +283,11 @@ class TestSignupInvalidation:
             # A signup disjoint from the bystander's community: none of
             # its contacts appear in the cached answer, so it survives.
             contacts = set()
-            index.subscribe(
-                lambda e, u, d: contacts.update(x for uv in d for x in uv[:2])
+            tap(
+                index,
+                lambda delta: contacts.update(
+                    x for uv in delta.edges for x in uv[:2]
+                ),
             )
             fresh = small_dataset.n_items - 1
             index.add_user([fresh])

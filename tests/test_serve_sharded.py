@@ -13,6 +13,7 @@ import numpy as np
 import pytest
 
 from repro import C2Params
+from repro.obs import MetricsRegistry, Tracer
 from repro.online import OnlineIndex
 from repro.serve import QueryEngine, ShardedQueryEngine
 
@@ -33,10 +34,15 @@ def _batch(rng, n_items, size=16):
 
 
 class TestShardedDeterminism:
-    def test_matches_single_worker(self, small_dataset, sharded_index):
+    @pytest.mark.parametrize("replicas", [False, True])
+    def test_matches_single_worker(self, small_dataset, sharded_index, replicas):
         rng = np.random.default_rng(0)
         batch = _batch(rng, small_dataset.n_items)
-        sharded = ShardedQueryEngine(sharded_index, n_shards=3, cache_size=0)
+        registry, tracer = MetricsRegistry(), Tracer()
+        sharded = ShardedQueryEngine(
+            sharded_index, n_shards=3, cache_size=0, replicas=replicas,
+            registry=registry, tracer=tracer,
+        )
         single = QueryEngine(sharded_index, cache_size=0)
         try:
             a = sharded.search_many(batch)
@@ -44,6 +50,11 @@ class TestShardedDeterminism:
             for x, y in zip(a, b):
                 assert np.array_equal(x.ids, y.ids)
                 assert x.scores == pytest.approx(y.scores)
+            # Every walk, on a shard or on a replica, reports to the
+            # engine's own registry and tracer.
+            walks = sharded.stats()["cache_misses_total"]
+            assert registry.counter("serve_queries_total").value == walks
+            assert [s.name for s in tracer.recent()] == ["search"] * walks
         finally:
             sharded.close()
             single.close()
@@ -62,50 +73,11 @@ class TestShardedDeterminism:
             for x, y in zip(outs[0], results):
                 assert np.array_equal(x.ids, y.ids)
 
-    def test_process_executor_matches_thread(self, small_dataset, sharded_index):
-        rng = np.random.default_rng(2)
-        batch = _batch(rng, small_dataset.n_items, size=6)
-        procs = ShardedQueryEngine(
-            sharded_index, n_shards=2, executor="process", cache_size=0
-        )
-        threads = ShardedQueryEngine(sharded_index, n_shards=2, cache_size=0)
-        try:
-            a = procs.search_many(batch)
-            b = threads.search_many(batch)
-            for x, y in zip(a, b):
-                assert np.array_equal(x.ids, y.ids)
-                assert x.scores == pytest.approx(y.scores)
-        finally:
-            procs.close()
-            threads.close()
-
-    def test_process_pool_resyncs_after_mutation(self, small_dataset):
-        index = OnlineIndex.build(small_dataset, params=_params())
-        # cache_size=0: this test exercises the snapshot-pool resync
-        # itself, not the front-end cache (whose signup-contact seeding
-        # would also evict the pre-signup answer).
-        procs = ShardedQueryEngine(index, n_shards=2, executor="process", cache_size=0)
-        oracle = QueryEngine(index, cache_size=0)
-        query = small_dataset.profile(3)
-        try:
-            before = procs.search(query)
-            assert 3 in before.ids  # sanity: the twin user tops the list
-            uid = index.add_user(query)  # identical signup (score 1.0)
-            after = procs.search(query)
-            fresh = oracle.search(query)
-            assert np.array_equal(after.ids, fresh.ids)  # snapshot was re-forked
-            assert uid in after.ids  # the worker snapshot saw the signup
-        finally:
-            procs.close()
-            oracle.close()
-
 
 class TestShardedFrontEnd:
     def test_validation(self, sharded_index):
         with pytest.raises(ValueError):
             ShardedQueryEngine(sharded_index, n_shards=0)
-        with pytest.raises(ValueError):
-            ShardedQueryEngine(sharded_index, executor="greenlet")
 
     def test_cache_and_dedup(self, sharded_index):
         engine = ShardedQueryEngine(sharded_index, n_shards=2)
