@@ -1,4 +1,4 @@
-"""Legacy setup shim for offline editable installs (see pyproject.toml)."""
+"""Package metadata: `pip install -e .` makes `repro` importable without PYTHONPATH=src."""
 
 from setuptools import find_packages, setup
 

@@ -38,11 +38,9 @@ def brute_force_knn(engine: SimilarityEngine, k: int = 30) -> BuildResult:
         for start in range(0, n, _ROW_BLOCK):
             rows = all_users[start : start + _ROW_BLOCK]
             scores = engine.block(rows, all_users, counted=False)
-            for pos, u in enumerate(rows):
-                row = scores[pos]
-                take = min(k + 1, n)  # +1 because u itself is in the row
-                top = np.argpartition(-row, take - 1)[:take]
-                graph.add_batch(int(u), top, row[top])
+            take = min(k + 1, n)  # +1 because u itself is in the row
+            top = np.argpartition(-scores, take - 1, axis=1)[:, :take]
+            graph.heaps.offer(rows, top, np.take_along_axis(scores, top, axis=1))
 
     return BuildResult(
         graph=graph,

@@ -131,10 +131,10 @@ def _iterate(
 ) -> tuple[int, list[set[int]]]:
     """One NN-Descent local-join pass; returns (updates, next new flags).
 
-    Each joined pair updates both endpoints: the forward offers at
-    once, the reverse offers buffered and handed to
-    :meth:`KNNGraph.add_grouped` once ``_FLUSH_EVERY`` joined rows have
-    accumulated.
+    Each joined pair updates both endpoints: the forward offers of a
+    join at once (one row per new candidate), the reverse offers
+    buffered and handed to :meth:`KNNGraph.add_grouped` once
+    ``_FLUSH_EVERY`` joined rows have accumulated.
     """
     n = graph.n_users
     limit = max(1, int(round(sample_rate * k)))
@@ -144,6 +144,13 @@ def _iterate(
     next_flags: list[set[int]] = [set() for _ in range(n)]
     updates = 0
     reverse: list[tuple[np.ndarray, np.ndarray, np.ndarray]] = []
+    joined = 0
+
+    def record(rows: np.ndarray, inserted: np.ndarray) -> int:
+        hit = inserted != EMPTY
+        for x, v in zip(rows[np.nonzero(hit)[0]].tolist(), inserted[hit].tolist()):
+            next_flags[x].add(v)
+        return int(hit.sum())
 
     for u in range(n):
         l_new, l_old = _join_lists(u, graph, rev, new_flags, limit, rng)
@@ -154,20 +161,18 @@ def _iterate(
             scores = engine.block(l_new, pool, counted=False)
             engine.charge(l_new.size * l_old.size + l_new.size * (l_new.size - 1) // 2)
 
-            for pos, x in enumerate(l_new):
-                row = scores[pos]
-                others = pool != x
-                inserted = graph.add_batch_ids(int(x), pool[others], row[others])
-                next_flags[int(x)].update(map(int, inserted))
-                updates += int(inserted.size)
-                reverse.append(
-                    (pool[others], np.full(int(others.sum()), int(x), dtype=np.int64), row[others])
-                )
+            # Row x of the block goes to x (the heap drops the x -> x
+            # pair); every other cell is also offered the other way.
+            offered = np.broadcast_to(pool, scores.shape)
+            updates += record(l_new, graph.heaps.offer(l_new, offered, scores))
+            others = offered != l_new[:, None]
+            sources = np.broadcast_to(l_new[:, None], scores.shape)
+            reverse.append((offered[others], sources[others], scores[others]))
+            joined += l_new.size
 
-        if reverse and (len(reverse) >= _FLUSH_EVERY or u == n - 1):
-            for target, inserted in graph.add_grouped(*map(np.concatenate, zip(*reverse))):
-                next_flags[target].update(map(int, inserted))
-                updates += int(inserted.size)
+        if reverse and (joined >= _FLUSH_EVERY or u == n - 1):
+            updates += record(*graph.add_grouped(*map(np.concatenate, zip(*reverse))))
             reverse.clear()
+            joined = 0
 
     return updates, next_flags

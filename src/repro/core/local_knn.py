@@ -115,11 +115,11 @@ def _hyrec_pass(engine: SimilarityEngine, graph: KNNGraph, users: np.ndarray) ->
         cands = cands[(cands != u) & ~np.isin(cands, nbrs)]
         if cands.size:
             scores = engine.one_to_many(int(users[u]), users[cands])
-            updates += graph.add_batch(u, cands, scores)
+            updates += graph.add_batch(u, cands, scores).size
             reverse.append((cands, np.full(cands.size, u, dtype=np.int64), scores))
         if reverse and (len(reverse) >= _FLUSH_EVERY or u == last):
-            offers = graph.add_grouped(*map(np.concatenate, zip(*reverse)))
-            updates += sum(inserted.size for _, inserted in offers)
+            _, inserted = graph.add_grouped(*map(np.concatenate, zip(*reverse)))
+            updates += int(np.count_nonzero(inserted != EMPTY))
             reverse.clear()
     return updates
 

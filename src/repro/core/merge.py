@@ -15,19 +15,23 @@ from typing import Iterable
 import numpy as np
 
 from ..graph.heap import EMPTY
-from ..graph.knn_graph import KNNGraph, group_by_value
+from ..graph.knn_graph import KNNGraph
 from .local_knn import PartialKNN
 
 __all__ = ["merge_partials"]
+
+# Users per merge offer: bounds the padded (users × t·k) offer table.
+_BLOCK_USERS = 512
 
 
 def merge_partials(partials: Iterable[PartialKNN], n_users: int, k: int) -> KNNGraph:
     """Merge per-cluster partial KNN graphs into the global graph.
 
-    The partial rows are grouped by user and each user's ``t * k``
-    candidates go to the heap in one offer. Only row indices are
-    grouped, never the edges themselves, so the merge allocates
-    O(rows) scratch on top of the partials it reads.
+    Users are merged in blocks of ``_BLOCK_USERS``: a block's partial
+    rows are gathered into one padded table, each user's ``t`` rows
+    side by side, and offered to the heaps in one call. Only row
+    indices are sorted, never the edges themselves, so the merge
+    allocates one block's table on top of the partials it reads.
     """
     graph = KNNGraph(n_users, k)
     partials = list(partials)
@@ -36,10 +40,18 @@ def merge_partials(partials: Iterable[PartialKNN], n_users: int, k: int) -> KNNG
     owners = np.concatenate([p.users for p in partials])
     which = np.repeat(np.arange(len(partials)), [p.users.size for p in partials])
     pos = np.concatenate([np.arange(p.users.size) for p in partials])
-    for user, rows in group_by_value(np.arange(owners.size), owners):
-        found = [(partials[i], j) for i, j in zip(which[rows].tolist(), pos[rows].tolist())]
-        ids = np.concatenate([p.ids[j] for p, j in found])
-        scores = np.concatenate([p.scores[j] for p, j in found])
-        valid = ids != EMPTY
-        graph.add_batch(user, ids[valid], scores[valid])
+    order = np.argsort(owners, kind="stable")
+    owners, which, pos = owners[order], which[order], pos[order]
+    rank = np.arange(owners.size) - np.searchsorted(owners, owners)  # among the owner's rows
+    # Block bounds over the owner-sorted rows; empty blocks collapse.
+    bounds = np.unique(np.searchsorted(owners, np.arange(0, n_users + _BLOCK_USERS, _BLOCK_USERS)))
+    for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
+        users, slot = np.unique(owners[lo:hi], return_inverse=True)
+        found = list(zip(which[lo:hi].tolist(), pos[lo:hi].tolist()))
+        ids = np.full((users.size, (int(rank[lo:hi].max()) + 1) * k), EMPTY)
+        scores = np.full(ids.shape, -np.inf)
+        cells = (slot[:, None], rank[lo:hi, None] * k + np.arange(k))
+        ids[cells] = [partials[i].ids[j] for i, j in found]
+        scores[cells] = [partials[i].scores[j] for i, j in found]
+        graph.heaps.offer(users, ids, scores)
     return graph

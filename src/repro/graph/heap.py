@@ -1,11 +1,12 @@
 """Bounded neighbour lists — the per-user "heap of size k" of the paper.
 
 Each user's neighbourhood is a fixed-capacity set of ``(neighbor,
-score)`` pairs keeping the ``k`` highest-scoring distinct neighbours
-seen so far. Rows are stored unordered in flat numpy arrays (ids +
-scores); with ``k ≈ 30`` a linear min-scan beats a real heap and the
-batch update path vectorises cleanly, which is what the greedy
-baselines and the C² merge step hammer on.
+score)`` pairs keeping the ``k`` best distinct neighbours seen so far.
+Rows live in flat ``(n, k)`` numpy arrays (ids + scores). Every writer
+goes through :meth:`NeighborHeaps.offer`, which updates many rows at
+once with sorts along the short rows instead of keeping a real heap
+per row — the shape the greedy baselines, the C² merge and the online
+write path all need.
 """
 
 from __future__ import annotations
@@ -163,14 +164,7 @@ class NeighborHeaps:
         known (a maintained reverse-adjacency index), prefer
         :meth:`purge_id_rows`, which costs O(holders · k) instead.
         """
-        mask = self.ids == v
-        rows = np.flatnonzero(mask.any(axis=1))
-        if rows.size:
-            self.ids[mask] = EMPTY
-            self.scores[mask] = -np.inf
-            if self.journal is not None:
-                self.journal.extend((int(u), v, False) for u in rows)
-        return rows
+        return self.purge_id_rows(v, np.flatnonzero((self.ids == v).any(axis=1)))
 
     def purge_id_rows(self, v: int, rows: np.ndarray) -> np.ndarray:
         """Remove ``v`` from the given ``rows`` only.
@@ -283,80 +277,64 @@ class NeighborHeaps:
 
     # ------------------------------------------------------------------
 
-    def push(self, u: int, v: int, score: float) -> bool:
-        """Offer neighbour ``v`` with ``score`` to user ``u``.
+    def offer(self, rows: np.ndarray, ids: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Offer neighbours to many rows at once — the bounded-heap rule.
 
-        Returns True if the list changed. Self-loops are rejected; a
-        neighbour already present keeps the highest score seen (matching
-        the batch path's max-per-id semantics).
+        ``rows`` holds ``r`` distinct rows; row ``i`` of the ``(r, m)``
+        tables ``ids``/``scores`` is offered to ``rows[i]``, ``EMPTY``
+        ids padding it. Each row becomes the top-``k`` of (row ∪ offers)
+        under the total order ``(-score, id)``, self-loops dropped and
+        the highest score kept per id, so ties cannot churn neighbours
+        in and out (which would stall the greedy builders'
+        δ-termination). The order of the offers does not matter.
+
+        Slot layout (NN-Descent samples rows in slot order): ascending
+        ids when a row sees at most ``k`` distinct ids, ``(-score, id)``
+        order otherwise; free slots trail. Returns the ``(r, k)`` table
+        of each row's inserted ids, ascending, ``EMPTY``-padded. The
+        journal gets each row's removals, then its adds (both by id),
+        so a replica replaying it always has a free slot for an add.
         """
-        if v == u:
-            return False
-        present = np.flatnonzero(self.ids[u] == v)
-        if present.size:
-            slot = int(present[0])
-            if score > self.scores[u, slot]:
-                self.scores[u, slot] = score
-                return True
-            return False
-        slot = int(np.argmin(self.scores[u]))
-        evicted = int(self.ids[u, slot])
-        if evicted != EMPTY and self.scores[u, slot] >= score:
-            return False
-        self.ids[u, slot] = v
-        self.scores[u, slot] = score
+        rows = np.asarray(rows, dtype=np.int64)
+        k = self.k
+        offered = np.asarray(ids, dtype=np.int64)
+        # The rows' current slots come first, then the offers.
+        cand = np.concatenate(
+            [self.ids[rows], np.where(offered == rows[:, None], EMPTY, offered)], axis=1
+        )
+        cand_scores = np.concatenate([self.scores[rows], np.asarray(scores, np.float64)], axis=1)
+        at = np.arange(rows.size)[:, None]  # row index for gathers along each row
+        # Group equal ids with one sort along each row, EMPTY last.
+        order = np.argsort(np.where(cand == EMPTY, np.iinfo(np.int64).max, cand), axis=1)
+        cand = cand[at, order]
+        first = np.ones(cand.shape, dtype=bool)
+        first[:, 1:] = cand[:, 1:] != cand[:, :-1]
+        starts = np.flatnonzero(first)
+        first &= cand != EMPTY
+        # Per distinct id: its best score, and whether the row held it.
+        best = np.full(cand.size, np.nan)
+        best[starts] = np.maximum.reduceat(cand_scores[at, order].ravel(), starts)
+        held = np.zeros(cand.size, dtype=bool)
+        held[starts] = np.logical_or.reduceat((order < k).ravel(), starts)
+        best, held = best.reshape(cand.shape), held.reshape(cand.shape)
+        # Rank the distinct ids: rows over capacity by (-score, id), the
+        # rest by id alone. The stable sort keeps id order among equal
+        # keys; NaN parks duplicates and padding last.
+        over = first.sum(axis=1) > k
+        key = np.where(first, np.where(over[:, None], -best, 0.0), np.nan)
+        top = np.argsort(key, axis=1, kind="stable")[:, :k]
+        filled = first[at, top]
+        kept = np.zeros(cand.shape, dtype=bool)
+        kept[at, top] = filled
+        self.ids[rows] = np.where(filled, cand[at, top], EMPTY)
+        self.scores[rows] = np.where(filled, best[at, top], -np.inf)
+
+        added = first & kept & ~held
         if self.journal is not None:
-            if evicted != EMPTY:
-                self.journal.append((u, evicted, False))
-            self.journal.append((u, v, True))
-        return True
-
-    def push_batch(self, u: int, cands: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        """Offer many candidates to ``u`` at once; returns inserted ids.
-
-        Candidates may contain duplicates and ``u`` itself; the final
-        row is the top-k of (current row ∪ candidates) by score. The
-        returned array holds the ids that newly entered the list (used
-        by NN-Descent to maintain its "new neighbour" flags).
-        """
-        cands = np.asarray(cands, dtype=np.int64)
-        scores = np.asarray(scores, dtype=np.float64)
-        keep = cands != u
-        cands, scores = cands[keep], scores[keep]
-        if cands.size == 0:
-            return np.empty(0, dtype=np.int64)
-
-        row_ids = self.ids[u]
-        occupied = row_ids != EMPTY
-        old_ids = row_ids[occupied].astype(np.int64)
-        old_scores = self.scores[u][occupied]
-
-        all_ids = np.concatenate([old_ids, cands])
-        all_scores = np.concatenate([old_scores, scores])
-        # Deduplicate by id, keeping the highest score per id.
-        order = np.lexsort((-all_scores, all_ids))
-        all_ids, all_scores = all_ids[order], all_scores[order]
-        first = np.ones(all_ids.size, dtype=bool)
-        first[1:] = all_ids[1:] != all_ids[:-1]
-        all_ids, all_scores = all_ids[first], all_scores[first]
-
-        if all_ids.size > self.k:
-            # Total order (-score, id): deterministic tie-breaking, so
-            # equal-score neighbours cannot churn in and out of the
-            # top-k across iterations (which would stall δ-termination
-            # of the greedy algorithms with phantom updates).
-            top = np.lexsort((all_ids, -all_scores))[: self.k]
-            new_ids, new_scores = all_ids[top], all_scores[top]
-        else:
-            new_ids, new_scores = all_ids, all_scores
-
-        inserted = np.setdiff1d(new_ids, old_ids, assume_unique=False)
-        self.ids[u].fill(EMPTY)
-        self.scores[u].fill(-np.inf)
-        self.ids[u, : new_ids.size] = new_ids
-        self.scores[u, : new_scores.size] = new_scores
-        if self.journal is not None:
-            removed = np.setdiff1d(old_ids, new_ids, assume_unique=False)
-            self.journal.extend((u, int(v), False) for v in removed)
-            self.journal.extend((u, int(v), True) for v in inserted)
-        return inserted
+            # Row-major nonzero over (row, drop/add, id) is the journal order.
+            r, adds, col = np.nonzero(np.stack([first & held & ~kept, added], axis=1))
+            self.journal.extend(
+                zip(rows[r].tolist(), cand[r, col].tolist(), adds.astype(bool).tolist())
+            )
+        slot = np.argsort(~added, axis=1, kind="stable")[:, :k]
+        return np.where(added[at, slot], cand[at, slot], EMPTY)

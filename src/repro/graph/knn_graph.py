@@ -9,6 +9,10 @@ from .heap import EMPTY, NeighborHeaps
 
 __all__ = ["KNNGraph", "group_by_value", "random_graph"]
 
+# Cell budget (rows × widest row) of one padded offer table built by
+# :meth:`KNNGraph.add_grouped`.
+_OFFER_CELLS = 1 << 18
+
 
 def group_by_value(users: np.ndarray, values: np.ndarray) -> list[tuple[int, np.ndarray]]:
     """Group ``users`` by their ``values``; returns (value, users) pairs.
@@ -18,7 +22,7 @@ def group_by_value(users: np.ndarray, values: np.ndarray) -> list[tuple[int, np.
     the batch cluster splitter, the online re-split
     (:meth:`repro.online.OnlineIndex._resplit`, which relies on the
     order guarantee to keep primary and replica member lists
-    identical), :meth:`KNNGraph.add_grouped` and the C² merge.
+    identical), NN-Descent's reverse lists and the C² merge.
     """
     order = np.argsort(values, kind="stable")
     users, values = users[order], values[order]
@@ -59,33 +63,45 @@ class KNNGraph:
         """``(ids, scores)`` of ``u``'s neighbours, best first."""
         return self.heaps.items(u)
 
-    def add(self, u: int, v: int, score: float) -> bool:
-        """Offer edge ``u -> v`` with ``score``; True if kept."""
-        return self.heaps.push(u, v, score)
-
-    def add_batch(self, u: int, cands: np.ndarray, scores: np.ndarray) -> int:
-        """Offer many candidate neighbours to ``u``; returns #insertions."""
-        return int(self.heaps.push_batch(u, cands, scores).size)
-
-    def add_batch_ids(self, u: int, cands: np.ndarray, scores: np.ndarray) -> np.ndarray:
-        """Like :meth:`add_batch` but returns the inserted neighbour ids."""
-        return self.heaps.push_batch(u, cands, scores)
+    def add_batch(self, u: int, cands: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """Offer many candidate neighbours to ``u``; returns the inserted ids."""
+        row = self.heaps.offer(np.array([u]), np.asarray(cands)[None], np.asarray(scores)[None])[0]
+        return row[row != EMPTY]
 
     def add_grouped(
         self, targets: np.ndarray, sources: np.ndarray, scores: np.ndarray
-    ) -> list[tuple[int, np.ndarray]]:
+    ) -> tuple[np.ndarray, np.ndarray]:
         """Offer edge ``targets[i] -> sources[i]`` with ``scores[i]`` for every ``i``.
 
-        The offers are grouped by target and each target gets a single
-        ``NeighborHeaps.push_batch`` call with its offers in input
-        order, so the bounded-heap rule stays in one place. Returns ``(target,
-        inserted ids)`` per target, in ascending target order.
+        The flat offers are laid out as one ``EMPTY``-padded row per
+        distinct target and handed to :meth:`NeighborHeaps.offer`, in
+        chunks of at most ``_OFFER_CELLS`` cells (rows × widest row) so
+        one hub target cannot inflate the padding of every light one.
+        Returns the distinct targets (ascending) and their ``(r, k)``
+        table of inserted ids.
         """
-        sources, scores = np.asarray(sources), np.asarray(scores)
-        return [
-            (t, self.heaps.push_batch(t, sources[pos], scores[pos]))
-            for t, pos in group_by_value(np.arange(sources.size), np.asarray(targets))
-        ]
+        targets = np.asarray(targets)
+        order = np.argsort(targets, kind="stable")
+        sources, scores = np.asarray(sources)[order], np.asarray(scores)[order]
+        rows, counts = np.unique(targets, return_counts=True)
+        row_of = np.repeat(np.arange(rows.size), counts)
+        col = np.arange(targets.size) - np.repeat(np.cumsum(counts) - counts, counts)
+        inserted = np.empty((rows.size, self.k), dtype=np.int64)
+        lo = 0
+        while lo < rows.size:
+            # rows × running max width is nondecreasing, so the longest
+            # prefix within the budget is one binary search away.
+            head = np.maximum.accumulate(counts[lo : lo + _OFFER_CELLS])
+            fits = np.searchsorted(head * np.arange(1, head.size + 1), _OFFER_CELLS, side="right")
+            hi = lo + max(1, int(fits))
+            a, b = np.searchsorted(row_of, [lo, hi])
+            ids = np.full((hi - lo, int(head[hi - lo - 1])), EMPTY)
+            vals = np.full(ids.shape, -np.inf)
+            cell = (row_of[a:b] - lo, col[a:b])
+            ids[cell], vals[cell] = sources[a:b], scores[a:b]
+            inserted[lo:hi] = self.heaps.offer(rows[lo:hi], ids, vals)
+            lo = hi
+        return rows, inserted
 
     # -- incremental maintenance (online-update subsystem) ---------------
 
@@ -116,19 +132,19 @@ class KNNGraph:
     def rescore_user(self, u: int, cands: np.ndarray, scores: np.ndarray) -> None:
         """Replace ``u``'s neighbourhood with the top-k of ``cands``."""
         self.heaps.clear_row(u)
-        self.heaps.push_batch(u, cands, scores)
+        self.add_batch(u, cands, scores)
 
     def offer_reverse(self, source: int, cands: np.ndarray, scores: np.ndarray) -> int:
-        """Offer edge ``v -> source`` to each ``v`` in ``cands``.
+        """Offer edge ``v -> source`` with ``scores[i]`` to each distinct ``v = cands[i]``.
 
+        One :meth:`NeighborHeaps.offer` call with a single offer per
+        row, under the same bounded-heap rule as every batch builder.
         Reuses already-computed similarity values (Jaccard is
         symmetric), the same no-recompute discipline as the C² merge
-        step; returns the number of lists that changed.
+        step; returns the number of lists that gained the edge.
         """
-        changed = 0
-        for v, s in zip(cands, scores):
-            changed += bool(self.heaps.push(int(v), source, float(s)))
-        return changed
+        inserted = self.heaps.offer(cands, np.full((len(cands), 1), source), np.asarray(scores)[:, None])
+        return int(np.count_nonzero(inserted != EMPTY))
 
     def edge_count(self) -> int:
         """Number of directed edges currently stored."""
@@ -171,12 +187,11 @@ def random_graph(
         users = np.arange(engine.n_users)
     n = users.size
     graph = KNNGraph(n, k)
+    cands = np.empty((n, max(0, min(k, n - 1))), dtype=np.int64)
+    scores = np.empty(cands.shape)
     for u in range(n):
-        take = min(k, n - 1)
-        if take <= 0:
-            continue
-        cands = rng.choice(n - 1, size=take, replace=False)
-        cands[cands >= u] += 1  # skip u itself
-        scores = engine.one_to_many(int(users[u]), users[cands])
-        graph.add_batch(u, cands, scores)
+        cands[u] = rng.choice(n - 1, size=cands.shape[1], replace=False)
+        cands[u][cands[u] >= u] += 1  # skip u itself
+        scores[u] = engine.one_to_many(int(users[u]), users[cands[u]])
+    graph.heaps.offer(np.arange(n), cands, scores)
     return graph

@@ -125,12 +125,6 @@ class ReplicaSet:
             {"queries": 0, "evaluations": 0, "hops": 0}
             for _ in range(self.n_replicas)
         ]
-        # Each replica's engine is private to that replica, and a walk
-        # reports its evaluations as the engine's counter delta around
-        # it; serialising the walks on one replica keeps every
-        # SearchResult.evaluations — and so the tier's serving bill —
-        # exact when two batches land on the same replica at once.
-        self._run_locks = [threading.Lock() for _ in range(self.n_replicas)]
         self._replicas: list[OnlineIndex] = []
         self._searchers: list[GraphSearcher] = []
         for _ in range(self.n_replicas):
@@ -176,16 +170,10 @@ class ReplicaSet:
     def search(self, replica: int, profiles: list, k: int) -> list[SearchResult]:
         """Serve a batch of profiles on replica ``replica``.
 
-        Walks the replica's own graph on the calling thread, under the
-        replica's run lock (see ``__init__``).
+        Walks the replica's own graph on the calling thread and charges
+        the batch to the replica's serving counters.
         """
-        searcher = self._searchers[replica]
-        with self._run_locks[replica]:
-            results = [searcher.top_k(p, k=k) for p in profiles]
-        return self._account(replica, results)
-
-    def _account(self, replica: int, results: list[SearchResult]) -> list[SearchResult]:
-        """Charge a served batch to replica ``replica``'s counters."""
+        results = [self._searchers[replica].top_k(p, k=k) for p in profiles]
         with self._serving_lock:
             counters = self._served[replica]
             counters["queries"] += len(results)

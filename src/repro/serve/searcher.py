@@ -244,7 +244,6 @@ class GraphSearcher:
         graph = self.index.graph
         active = self.index.dataset.active_mask()
         excluded = {int(u) for u in exclude}
-        before = engine.comparisons
         query = engine.prepare_query(profile)
 
         t_seed = perf_counter()
@@ -289,6 +288,7 @@ class GraphSearcher:
                 cands = np.array([v for _, v in pool], dtype=np.int64)
                 exact = self._exact_scores(profile, cands)
                 engine.charge(cands.size)
+                evals += cands.size
                 order = np.lexsort((cands, -exact))[:k]
                 ids, scores = cands[order], exact[order]
             self._h_rerank.observe(perf_counter() - t_rerank)
@@ -299,7 +299,7 @@ class GraphSearcher:
         return SearchResult(
             ids=ids,
             scores=scores,
-            evaluations=engine.comparisons - before,
+            evaluations=evals,
             hops=hops,
             routed=routed,
         )
@@ -591,13 +591,12 @@ def brute_force_top_k(
         else:
             users = np.arange(engine.n_users, dtype=np.int64)
     users = np.asarray(users, dtype=np.int64)
-    before = engine.comparisons
     query = engine.prepare_query(np.unique(np.asarray(profile, dtype=np.int64)))
     sims = engine.query_many(query, users)
     order = np.lexsort((users, -sims))[: int(k)]
     return SearchResult(
         ids=users[order],
         scores=sims[order],
-        evaluations=engine.comparisons - before,
+        evaluations=int(users.size),
         hops=0,
     )

@@ -11,31 +11,31 @@ from repro.similarity import ExactEngine
 class TestKNNGraph:
     def test_add_and_neighborhood(self):
         g = KNNGraph(3, 2)
-        g.add(0, 1, 0.9)
-        g.add(0, 2, 0.4)
+        g.add_batch(0, [1], [0.9])
+        g.add_batch(0, [2], [0.4])
         ids, scores = g.neighborhood(0)
         assert list(ids) == [1, 2]
         assert list(scores) == pytest.approx([0.9, 0.4])
 
     def test_edge_count(self):
         g = KNNGraph(3, 2)
-        g.add(0, 1, 0.9)
-        g.add(2, 1, 0.2)
+        g.add_batch(0, [1], [0.9])
+        g.add_batch(2, [1], [0.2])
         assert g.edge_count() == 2
 
     def test_to_dict(self):
         g = KNNGraph(2, 2)
-        g.add(0, 1, 0.5)
+        g.add_batch(0, [1], [0.5])
         d = g.to_dict()
         assert d[0] == [(1, 0.5)]
         assert d[1] == []
 
     def test_copy_is_deep(self):
         g = KNNGraph(2, 2)
-        g.add(0, 1, 0.5)
+        g.add_batch(0, [1], [0.5])
         g2 = g.copy()
-        g2.add(0, 1, 0.9)  # rejected duplicate, but try mutation:
-        g2.add(1, 0, 0.3)
+        g2.add_batch(0, [1], [0.9])  # raises a copied score; then a new edge:
+        g2.add_batch(1, [0], [0.3])
         assert g.neighbors(1).size == 0
 
     def test_to_arrays_copies(self):
@@ -107,8 +107,7 @@ class TestMetrics:
         # copy only 2 neighbours per user
         for u in range(exact.n_users):
             ids, scores = exact.neighborhood(u)
-            for v, s in zip(ids[:2], scores[:2]):
-                partial.add(u, int(v), float(s))
+            partial.add_batch(u, ids[:2], scores[:2])
         r = edge_recall(partial, exact)
         assert 0.3 < r < 0.5
 
@@ -118,7 +117,7 @@ class TestMetrics:
 
     def test_average_similarity_counts_missing_slots_as_zero(self, small_dataset):
         g = KNNGraph(small_dataset.n_users, 10)
-        g.add(0, 1, 1.0)  # single edge, rest empty
+        g.add_batch(0, [1], [1.0])  # single edge, rest empty
         avg = average_similarity(g, small_dataset)
         from repro.similarity import jaccard_pair
 
@@ -161,7 +160,7 @@ class TestReverseAdjacency:
         rng = np.random.default_rng(7)
         for _ in range(60):
             u, v = rng.choice(g.n_users, size=2, replace=False)
-            g.add(int(u), int(v), float(rng.random()))
+            g.add_batch(int(u), [int(v)], [float(rng.random())])
             rev.apply(g.heaps.drain_journal())
             assert rev.to_sets() == ReverseAdjacency.from_heaps(g.heaps).to_sets()
 

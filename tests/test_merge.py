@@ -3,14 +3,14 @@
 import numpy as np
 import pytest
 
-from repro.core import merge_partials
+from repro.core import merge, merge_partials
 from repro.core.local_knn import PartialKNN
 from repro.graph import KNNGraph
 from repro.graph.heap import EMPTY
 
 
 def _per_row_merge(partials, n_users, k):
-    """The reference merge: one push_batch per (partial, user)."""
+    """The reference merge: one one-row offer per (partial, user)."""
     graph = KNNGraph(n_users, k)
     for partial in partials:
         for pos, user in enumerate(partial.users):
@@ -91,7 +91,7 @@ class TestMergePartials:
         graph = merge_partials([], n_users=4, k=2)
         assert graph.edge_count() == 0
 
-    def test_matches_per_row_reference(self, rng):
+    def test_matches_per_row_reference(self, rng, monkeypatch):
         """One grouped offer per user == the per-(partial, user) loop,
         with one pair offered at different scores, EMPTY slots anywhere
         in a row, and users in no partial."""
@@ -112,8 +112,11 @@ class TestMergePartials:
                 scores[pos, slots] = rng.integers(0, 8, size=m) / 8
             partials.append(PartialKNN(users.astype(np.int64), ids, scores))
 
-        got = merge_partials(partials, n_users=n, k=k)
         want = _per_row_merge(partials, n_users=n, k=k)
-        assert _row_maps(got) == _row_maps(want)
-        assert got.edge_count() == want.edge_count()
-        assert all(not row for row in _row_maps(got)[n - 5:])
+        # One block, and blocks cutting the users mid-range.
+        for block in (merge._BLOCK_USERS, 7):
+            monkeypatch.setattr(merge, "_BLOCK_USERS", block)
+            got = merge_partials(partials, n_users=n, k=k)
+            assert _row_maps(got) == _row_maps(want)
+            assert got.edge_count() == want.edge_count()
+            assert all(not row for row in _row_maps(got)[n - 5:])

@@ -23,10 +23,10 @@ def handmade():
         n_items=9,
     )
     graph = KNNGraph(4, 2)
-    graph.add(0, 1, 0.6)
-    graph.add(1, 0, 0.6)
-    graph.add(2, 3, 0.5)
-    graph.add(3, 2, 0.5)
+    graph.add_batch(0, [1], [0.6])
+    graph.add_batch(1, [0], [0.6])
+    graph.add_batch(2, [3], [0.5])
+    graph.add_batch(3, [2], [0.5])
     return ds, graph
 
 
@@ -48,8 +48,8 @@ class TestRecommendItems:
             n_items=4,
         )
         graph = KNNGraph(3, 2)
-        graph.add(0, 1, 0.9)
-        graph.add(0, 2, 0.4)
+        graph.add_batch(0, [1], [0.9])
+        graph.add_batch(0, [2], [0.4])
         recs = recommend_items(ds, graph, user=0, n_recommendations=3)
         # item 1 scored 0.9+0.4, item 2 scored 0.9, item 3 scored 0.4
         assert list(recs) == [1, 2, 3]

@@ -50,11 +50,31 @@ class TestShardedDeterminism:
             for x, y in zip(a, b):
                 assert np.array_equal(x.ids, y.ids)
                 assert x.scores == pytest.approx(y.scores)
+                assert x.evaluations == y.evaluations
             # Every walk, on a shard or on a replica, reports to the
             # engine's own registry and tracer.
             walks = sharded.stats()["cache_misses_total"]
             assert registry.counter("serve_queries_total").value == walks
             assert [s.name for s in tracer.recent()] == ["search"] * walks
+        finally:
+            sharded.close()
+            single.close()
+
+    def test_evaluations_are_per_walk(self, small_dataset, sharded_index):
+        """Each result bills its own walk only: walks overlapping on one
+        engine sum to the engine's charge and match serial walks."""
+        rng = np.random.default_rng(2)
+        batch = _batch(rng, small_dataset.n_items, size=200)
+        sharded = ShardedQueryEngine(sharded_index, n_shards=2, cache_size=0)
+        single = QueryEngine(sharded_index, cache_size=0)
+        try:
+            before = sharded_index.engine.comparisons
+            a = sharded.search_many(batch)
+            charged = sharded_index.engine.comparisons - before
+            b = single.search_many(batch)
+            walks = {id(r): r for r in a}.values()  # in-batch dedup shares results
+            assert sum(r.evaluations for r in walks) == charged
+            assert [r.evaluations for r in a] == [r.evaluations for r in b]
         finally:
             sharded.close()
             single.close()
