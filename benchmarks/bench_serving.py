@@ -31,7 +31,7 @@ GoldFinger recall gap with and without ``rerank="exact"``. Acceptance
 (full run, 5k users): per-mutation reverse-maintenance cost ≥ 5× lower
 than the rebuild path, recall@10 ≥ 0.9 after the write tape, and exact
 re-ranking within 1 point of an exact-backend walk. ``--shards N``
-serves batches through a ``ShardedQueryEngine`` with N thread workers.
+serves batches through a ``QueryEngine(shards=N)``.
 
 ``--replicas N`` serves through N per-shard replica indexes converging
 by shipped journal deltas; combined with ``--mixed`` it runs the
@@ -99,7 +99,6 @@ from repro.persist import DurableIndex
 from repro.serve import (
     GraphSearcher,
     QueryEngine,
-    ShardedQueryEngine,
     brute_force_top_k,
 )
 from repro.similarity import make_engine
@@ -160,7 +159,7 @@ def _mutate(index: OnlineIndex, kind: str, rng: np.random.Generator) -> int:
     return user
 
 
-def _searcher_kwargs(args, budget: int) -> dict:
+def _walk_params(args, budget: int) -> dict:
     return dict(ef=args.ef, per_config=args.per_config, budget=budget)
 
 
@@ -171,7 +170,7 @@ def run_replicas(args) -> int:
 
     1. **single engine, serial** — one ``QueryEngine``, reads and
        writes strictly interleaved;
-    2. **shared-index shards, concurrent** — ``ShardedQueryEngine``
+    2. **shared-index shards, concurrent** — ``QueryEngine(shards=N)``
        without replicas: N reader threads walk one shared graph under
        the index RWLock while the writer mutates;
     3. **replica tier, concurrent** — ``--replicas N`` per-shard
@@ -192,7 +191,7 @@ def run_replicas(args) -> int:
     dataset, queries = build_workload(n_users, n_queries, args.seed)
     params = _bench_params(n_users)
     budget = max(6 * args.ef, int(args.budget_fraction * n_users))
-    kwargs = _searcher_kwargs(args, budget)
+    kwargs = _walk_params(args, budget)
     workload = MixedWorkload(n_ops=n_ops, seed=args.seed)
     kinds = workload.kinds()
     # The tape reads from the first half; the recall probe uses the
@@ -275,16 +274,17 @@ def run_replicas(args) -> int:
         )
     )
     _, shared_engine, wall_shared, stats_shared = drive_concurrent(
-        lambda index: ShardedQueryEngine(
-            index, n_replicas, k=args.topk, invalidation="partial",
-            searcher_kwargs=kwargs,
+        lambda index: QueryEngine(
+            index, k=args.topk, invalidation="partial",
+            searcher=GraphSearcher(index, **kwargs), shards=n_replicas,
         )
     )
     shared_engine.close()
     index_rep, engine_rep, wall_rep, stats_rep = drive_concurrent(
-        lambda index: ShardedQueryEngine(
-            index, n_replicas, k=args.topk, invalidation="partial",
-            replicas=True, routing=args.routing, searcher_kwargs=kwargs,
+        lambda index: QueryEngine(
+            index, k=args.topk, invalidation="partial",
+            searcher=GraphSearcher(index, **kwargs), shards=n_replicas,
+            replicas=True,
         )
     )
 
@@ -328,7 +328,7 @@ def run_replicas(args) -> int:
 
     rows = [
         tier_row(
-            f"replica tier ({n_replicas}x thread, {args.routing})",
+            f"replica tier ({n_replicas}x thread)",
             wall_rep, stats_rep,
         ),
         tier_row(
@@ -351,7 +351,7 @@ def run_replicas(args) -> int:
     header = (
         f"Replica tier: {n_ops}-op mixed tape ({n_writes} writes) over "
         f"{n_users} users, {n_replicas} replicas "
-        f"(thread, routing={args.routing}, k={args.topk}, "
+        f"(thread, k={args.topk}, "
         f"ef={args.ef}, budget={budget}, {n_cores} cores); recall sample "
         f"{len(sample)} held-out queries after the churn"
     )
@@ -363,7 +363,6 @@ def run_replicas(args) -> int:
         "n_ops": n_ops,
         "n_cores": int(n_cores),
         "replicas": n_replicas,
-        "routing": args.routing,
         "ops_s_serial": round(n_ops / wall_serial, 1),
         "ops_s_shared": round(n_ops / wall_shared, 1),
         "ops_s_replicas": round(n_ops / wall_rep, 1),
@@ -430,7 +429,7 @@ def run_scenario(args) -> int:
     if args.split_threshold:
         params = params.with_(split_threshold=args.split_threshold)
     budget = max(6 * args.ef, int(args.budget_fraction * n_users))
-    kwargs = _searcher_kwargs(args, budget)
+    kwargs = _walk_params(args, budget)
     scenario = make_scenario(name, n_ops, seed=args.seed)
     # Scenario-specific probes (e.g. churn's bundle followers) are
     # drawn once against the *initial* population so both drives score
@@ -601,7 +600,7 @@ def run_restart(args) -> int:
     dataset, queries = build_workload(n_users, n_queries, args.seed)
     params = _bench_params(n_users)
     budget = max(6 * args.ef, int(args.budget_fraction * n_users))
-    kwargs = _searcher_kwargs(args, budget)
+    kwargs = _walk_params(args, budget)
     with tempfile.TemporaryDirectory(prefix="repro-restart-") as wal_dir:
         return _run_restart_in(args, wal_dir, dataset, queries, params,
                                budget, kwargs, n_users, n_queries, n_ops)
@@ -813,19 +812,13 @@ def run_mixed(args) -> int:
     # --- 1. the tape, served both ways ---------------------------------
     def run_tape(mode: str, passes: int = 1):
         index = OnlineIndex.build(dataset, params=params, backend=args.backend)
-        kwargs = _searcher_kwargs(args, budget)
+        kwargs = _walk_params(args, budget)
         if mode == "incremental":
             index.reverse_index()  # prime: maintained from the first write on
-            if args.shards > 1:
-                engine = ShardedQueryEngine(
-                    index, args.shards, k=args.topk,
-                    invalidation="partial", searcher_kwargs=kwargs,
-                )
-            else:
-                engine = QueryEngine(
-                    index, k=args.topk, invalidation="partial",
-                    searcher=GraphSearcher(index, **kwargs),
-                )
+            engine = QueryEngine(
+                index, k=args.topk, invalidation="partial",
+                searcher=GraphSearcher(index, **kwargs), shards=args.shards,
+            )
         else:
             engine = QueryEngine(
                 index, k=args.topk, invalidation="full",
@@ -921,7 +914,7 @@ def run_mixed(args) -> int:
         apply_seconds[0] += time.perf_counter() - t
 
     rev.apply_batch = timed_apply
-    kwargs = _searcher_kwargs(args, budget)
+    kwargs = _walk_params(args, budget)
     inc_q = GraphSearcher(index_inc, **kwargs)
     reb_q = _RebuildingSearcher(index_inc, **kwargs)
     reb_iso = _RebuildingSearcher(index_inc, **kwargs)
@@ -1068,14 +1061,11 @@ def main(argv=None) -> int:
     parser.add_argument("--mutations", type=int, default=None,
                         help="mixed mode: probe mutations for the cost table")
     parser.add_argument("--shards", type=int, default=1,
-                        help="serve batches through a ShardedQueryEngine with N workers")
+                        help="spread each batch's cache misses over N walk threads")
     parser.add_argument("--replicas", type=int, default=0,
                         help="serve through N per-shard replica indexes fed by "
                              "journal-delta shipping (with --mixed: the "
                              "replica-tier throughput/convergence benchmark)")
-    parser.add_argument("--routing", default="round_robin",
-                        choices=["round_robin", "least_loaded", "hash"],
-                        help="replica miss-routing policy")
     parser.add_argument("--topk", type=int, default=10)
     parser.add_argument("--ef", type=int, default=32)
     parser.add_argument("--per-config", type=int, default=16)
@@ -1125,19 +1115,10 @@ def main(argv=None) -> int:
 
     # --- batched QPS: cold (all unique) and warm (repeats) ------------
     def front_end(cache_size: int):
-        if args.replicas > 0:
-            return ShardedQueryEngine(
-                index, args.replicas, k=args.topk, cache_size=cache_size,
-                replicas=True, routing=args.routing,
-                searcher_kwargs=_searcher_kwargs(args, budget),
-            )
-        if args.shards > 1:
-            return ShardedQueryEngine(
-                index, args.shards, k=args.topk, cache_size=cache_size,
-                searcher_kwargs=_searcher_kwargs(args, budget),
-            )
+        replicas = args.replicas > 0
         return QueryEngine(
-            index, k=args.topk, searcher=searcher, cache_size=cache_size
+            index, k=args.topk, searcher=searcher, cache_size=cache_size,
+            shards=args.replicas if replicas else args.shards, replicas=replicas,
         )
 
     engine_cold = front_end(cache_size=0)

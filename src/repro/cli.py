@@ -50,7 +50,7 @@ from .core import cluster_and_conquer
 from .data import dataset_names, describe, load, load_dataset
 from .online import OnlineIndex
 from .recommend import evaluate_recall
-from .serve import GraphSearcher, QueryEngine, ShardedQueryEngine, brute_force_top_k
+from .serve import GraphSearcher, QueryEngine, brute_force_top_k
 from .similarity import make_engine
 
 __all__ = ["main"]
@@ -227,23 +227,15 @@ def _cmd_serve_demo(args) -> int:
             durable = index.attach_persistence(args.wal_dir)
     rerank = None if args.rerank == "none" else args.rerank
     searcher = GraphSearcher(index, ef=args.ef, budget=args.budget, rerank=rerank)
-    if args.replicas > 0:
-        queries = ShardedQueryEngine(
-            index, args.replicas, k=args.topk, replicas=True,
-            routing=args.routing,
-            searcher_kwargs=dict(ef=args.ef, budget=args.budget, rerank=rerank),
-            # With persistence attached, replicas bootstrap from the
-            # on-disk snapshot + WAL tail instead of pickling the
-            # primary under its read lock.
-            hydrate=durable.hydrate if durable is not None else None,
-        )
-    elif args.shards > 1:
-        queries = ShardedQueryEngine(
-            index, args.shards, k=args.topk,
-            searcher_kwargs=dict(ef=args.ef, budget=args.budget, rerank=rerank),
-        )
-    else:
-        queries = QueryEngine(index, k=args.topk, searcher=searcher)
+    replicas = args.replicas > 0
+    queries = QueryEngine(
+        index, k=args.topk, searcher=searcher,
+        shards=args.replicas if replicas else args.shards, replicas=replicas,
+        # With persistence attached, replicas bootstrap from the
+        # on-disk snapshot + WAL tail instead of pickling the primary
+        # under its read lock.
+        hydrate=durable.hydrate if replicas and durable is not None else None,
+    )
 
     # Out-of-sample query profiles: partial histories of real users (a
     # visitor who rated a subset of what an indexed user rated), drawn
@@ -293,7 +285,7 @@ def _cmd_serve_demo(args) -> int:
             ),
         )
     )
-    if args.replicas > 0:
+    if replicas:
         # The tier dashboard: what the replicated read path spent, per
         # replica and in total, in the same counted-similarity currency
         # as builds and updates.
@@ -463,13 +455,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--budget", type=int, default=None,
                    help="hard cap on similarity evaluations per query")
     p.add_argument("--shards", type=int, default=1,
-                   help="serve through a ShardedQueryEngine with N thread workers")
+                   help="spread each batch's cache misses over N walk threads")
     p.add_argument("--replicas", type=int, default=0,
                    help="serve through N per-shard replica indexes fed by "
                         "journal-delta shipping (overrides --shards)")
-    p.add_argument("--routing", default="round_robin",
-                   choices=["round_robin", "least_loaded", "hash"],
-                   help="miss-routing policy across replicas")
     p.add_argument("--rerank", default="none", choices=["none", "exact"],
                    help="re-score the walk's final frontier with exact similarities")
     p.add_argument("--wal-dir",

@@ -3,7 +3,7 @@
 The paper's C²-graph stays cheap to maintain online because every
 mutation describes itself as a journaled delta — and by PR 7 the repo
 had six independent consumers of that journal (reverse-adjacency
-maintenance, result-cache invalidation in both query engines, replica
+maintenance, result-cache invalidation in the query engines, replica
 shipping, the durable WAL, and the journal metrics view), each with its
 own hand-rolled subscribe / replay / seq-cursor / resync logic. This
 package unifies them behind one derived-collection abstraction, after
@@ -25,10 +25,6 @@ propagation":
   from the source of truth — the answer to any event deltas cannot
   express), and ``snapshot()``/``hydrate()`` hooks for shipping the
   derived state across processes.
-* :class:`AntiEntropy` — the first consumer built *on top of* the
-  abstraction instead of before it: a view that periodically compares
-  replica edge digests against the primary oracle and auto-resyncs any
-  replica that silently diverged.
 
 Registration is ``index.deltas.register(view)``; ``view.close()``
 detaches it.
@@ -40,12 +36,10 @@ view (a toy item→users secondary index).
 
 from __future__ import annotations
 
-from .antientropy import AntiEntropy
 from .bus import Delta, DeltaBus
 from .view import DerivedView
 
 __all__ = [
-    "AntiEntropy",
     "Delta",
     "DeltaBus",
     "DerivedView",

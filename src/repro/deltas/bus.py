@@ -77,8 +77,7 @@ class DeltaBus:
     Views are delivered in ``(priority, registration order)``: the
     internal reverse-adjacency view runs at priority 0 (front ends may
     read in-edge state from their hooks), ordinary consumers at the
-    default 10, and trailing auditors like
-    :class:`~repro.deltas.AntiEntropy` at 90 so they observe every
+    default 10, and trailing views at 90 so they observe every
     sibling's post-apply state.
     """
 

@@ -42,8 +42,8 @@ class DerivedView:
       is only spent while some registered view asks for it.
     * ``priority`` — delivery order (lower runs earlier; default 10).
       Reserved bands: 0 for state other views may read back out of the
-      index (reverse adjacency), 90 for trailing auditors
-      (:class:`~repro.deltas.AntiEntropy`).
+      index (reverse adjacency), 90 for trailing views that read
+      their siblings' post-apply state.
     """
 
     name: str = ""

@@ -26,7 +26,8 @@ def edge_digest(heaps: NeighborHeaps) -> int:
     Rows are sorted before hashing, so a primary and a replica that
     hold the same neighbour sets in different slot layouts (or with
     drifted scores) digest identically. This is the convergence oracle
-    both replica shipping and the anti-entropy auditor compare in.
+    both replica shipping and :meth:`~repro.serve.ReplicaSet.audit`
+    compare in.
     """
     return zlib.crc32(np.sort(heaps.ids[: heaps.n], axis=1).tobytes())
 

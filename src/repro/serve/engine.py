@@ -1,7 +1,7 @@
-"""Batched query serving: dedup, result caching, sync + async APIs.
+"""Batched query serving: dedup, result caching, sharding, sync + async APIs.
 
 :class:`GraphSearcher` answers one query; :class:`QueryEngine` turns it
-into a service front end:
+into the one service front end:
 
 * **batching** — ``search_many`` serves a list of concurrent queries
   and the :meth:`QueryEngine.search_async` entry point coalesces
@@ -9,6 +9,18 @@ into a service front end:
 * **deduplication** — identical profiles inside a batch are searched
   once, so a thundering herd of the same query charges the engine a
   single time;
+* **sharding** — ``shards=N`` sends each deduped miss to worker
+  ``crc32(canonical profile) % N``: a stateless rule that needs no
+  lock and spreads even single-query calls. Shard threads share the
+  engine's one :class:`GraphSearcher` (its scratch is thread-local)
+  and walk the primary under its readers-writer lock, so walks overlap
+  each other and only serialise against mutations. ``replicas=True``
+  gives every shard its own replica index instead
+  (:class:`~repro.serve.ReplicaSet`), converging by shipped journal
+  deltas, so walks touch no primary lock at all. A batch whose misses
+  all land on one shard walks on the calling thread. Sharding never
+  changes answers: the same deterministic searcher configuration
+  walks converged state (property-tested);
 * **an LRU result cache** wired to the index's delta bus as a
   registered :class:`~repro.deltas.DerivedView`. Two invalidation
   modes:
@@ -51,7 +63,9 @@ from __future__ import annotations
 
 import asyncio
 import threading
+import zlib
 from collections import OrderedDict
+from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import numpy as np
@@ -59,9 +73,10 @@ import numpy as np
 from .. import obs
 from ..deltas.view import DerivedView
 from ..online.index import OnlineIndex
+from .replica import ReplicaSet
 from .searcher import GraphSearcher, SearchResult
 
-__all__ = ["AsyncSearchMixin", "QueryEngine"]
+__all__ = ["QueryEngine"]
 
 
 def _signup_contacts(event: str, deltas) -> set[int] | None:
@@ -101,10 +116,9 @@ def _resplit_clusters(delta) -> list[int] | None:
 class _CacheView(DerivedView):
     """Result-cache invalidation as a derived view.
 
-    Wraps a front end's ``_on_delta`` (both :class:`QueryEngine` and
-    :class:`~repro.serve.ShardedQueryEngine` expose one); the resync
-    recipe for a cache is the trivial one — drop everything, the next
-    misses repopulate from the source of truth.
+    Wraps the :class:`QueryEngine`'s ``_on_delta``; the resync recipe
+    for a cache is the trivial one — drop everything, the next misses
+    repopulate from the source of truth.
     """
 
     def __init__(self, engine, name: str) -> None:
@@ -120,52 +134,6 @@ class _CacheView(DerivedView):
         self._engine._cache.clear()
 
 
-class AsyncSearchMixin:
-    """Coalescing ``search_async`` on top of a batched ``search_many``.
-
-    Shared by :class:`QueryEngine` and
-    :class:`~repro.serve.sharded.ShardedQueryEngine` so both front ends
-    honour the same contract: every caller already scheduled when the
-    flush task runs (e.g. all coroutines of one ``asyncio.gather``)
-    lands in the same ``search_many`` batch and benefits from its
-    deduplication. Hosts must initialise ``_init_async()`` and provide
-    ``search_many(profiles, k)`` plus ``default_k``.
-    """
-
-    def _init_async(self) -> None:
-        self._pending: list[tuple[object, int | None, asyncio.Future]] = []
-        self._flush_task: asyncio.Task | None = None
-
-    async def search_async(self, profile, k: int | None = None) -> "SearchResult":
-        """Awaitable :meth:`search`; concurrent callers share a batch."""
-        loop = asyncio.get_running_loop()
-        future: asyncio.Future = loop.create_future()
-        self._pending.append((profile, k, future))
-        if self._flush_task is None or self._flush_task.done():
-            self._flush_task = loop.create_task(self._flush_pending())
-        return await future
-
-    async def _flush_pending(self) -> None:
-        await asyncio.sleep(0)  # let every scheduled caller enqueue first
-        while self._pending:
-            batch, self._pending = self._pending, []
-            groups: dict[int, list[tuple[object, asyncio.Future]]] = {}
-            for profile, k, future in batch:
-                kk = int(k if k is not None else self.default_k)
-                groups.setdefault(kk, []).append((profile, future))
-            for kk, items in groups.items():
-                try:
-                    outs = self.search_many([p for p, _ in items], k=kk)
-                except Exception as exc:  # pragma: no cover - defensive
-                    for _, future in items:
-                        if not future.done():
-                            future.set_exception(exc)
-                else:
-                    for (_, future), out in zip(items, outs):
-                        if not future.done():
-                            future.set_result(out)
-
-
 class _ResultCache:
     """LRU of :class:`SearchResult` with per-user partial invalidation.
 
@@ -176,13 +144,11 @@ class _ResultCache:
     through it}`` lets a re-split evict exactly the answers it can
     have re-routed; in ``"full"`` mode any mutation clears everything
     and lookups also enforce the stored index version (belt and braces
-    against a detached hook). Thread-safe: the sharded front end
-    serves lookups from multiple workers.
+    against a detached hook). Thread-safe: shard workers store into it
+    concurrently.
     """
 
-    def __init__(
-        self, size: int, mode: str = "partial", registry=None, frontend: str = "engine"
-    ) -> None:
+    def __init__(self, size: int, mode: str = "partial", registry=None) -> None:
         if mode not in ("partial", "full"):
             raise ValueError("invalidation mode must be 'partial' or 'full'")
         self.size = int(size)
@@ -195,11 +161,11 @@ class _ResultCache:
         self._cluster_postings: dict[int, set[tuple]] = {}
         self._lock = threading.Lock()
         reg = registry if registry is not None else obs.metrics()
-        self._c_evictions = reg.counter("cache_evictions_total", frontend=frontend)
+        self._c_evictions = reg.counter("cache_evictions_total", frontend="engine")
         self._c_resplit_evictions = reg.counter(
-            "cache_resplit_evictions_total", frontend=frontend
+            "cache_resplit_evictions_total", frontend="engine"
         )
-        self._g_resplit_kept = reg.gauge("cache_resplit_kept", frontend=frontend)
+        self._g_resplit_kept = reg.gauge("cache_resplit_kept", frontend="engine")
 
     def __len__(self) -> int:
         return len(self._entries)
@@ -334,11 +300,12 @@ class _ResultCache:
             return sum(len(keys) for keys in self._cluster_postings.values())
 
 
-class QueryEngine(AsyncSearchMixin):
+class QueryEngine:
     """Serves top-k queries over an :class:`OnlineIndex`.
 
     Args:
-        index: the maintained index to serve from.
+        index: the maintained index to serve from (the primary, when
+            replicas are on: mutations always apply there, once).
         k: default neighbours per query.
         cache_size: maximum cached results (LRU eviction); 0 disables
             caching.
@@ -346,14 +313,26 @@ class QueryEngine(AsyncSearchMixin):
             mutation can have changed) or ``"full"`` (drop everything
             on any mutation; the strict coherence mode). See the
             module docstring for the exact contracts.
-        searcher: a configured :class:`GraphSearcher` to use (one with
-            default parameters is built otherwise).
+        searcher: the configured :class:`GraphSearcher` every walk
+            uses (one with default parameters is built otherwise).
+            Shard threads share it; replicas walk a
+            :meth:`~GraphSearcher.rebind` of it.
+        shards: walk workers. ``1`` (default) walks every miss on the
+            calling thread; more spread each batch's deduped misses by
+            ``crc32(canonical profile) % shards`` over a thread pool.
+        replicas: give every shard its own replica index converging by
+            shipped journal deltas (:class:`~repro.serve.ReplicaSet`)
+            instead of walking the primary's shared state.
+        hydrate: forwarded to :class:`~repro.serve.ReplicaSet` —
+            bootstrap the initial replicas from persisted state (e.g.
+            :meth:`repro.persist.DurableIndex.hydrate`) instead of
+            cloning the live primary. Requires ``replicas=True``.
         registry: :class:`~repro.obs.MetricsRegistry` for the cache
-            hit/miss/eviction and batch-latency metrics (default: the
-            process-wide registry).
+            hit/miss/eviction and batch-latency metrics, labelled
+            ``frontend="engine"`` (default: the process-wide registry).
         tracer: :class:`~repro.obs.Tracer` wrapping each cache miss in
             a ``query`` root span (children: the searcher's ``search``
-            tree and ``cache_store``).
+            tree and ``cache_store``), on whichever thread walks it.
     """
 
     def __init__(
@@ -364,20 +343,27 @@ class QueryEngine(AsyncSearchMixin):
         cache_size: int = 1024,
         invalidation: str = "partial",
         searcher: GraphSearcher | None = None,
+        shards: int = 1,
+        replicas: bool = False,
+        hydrate=None,
         registry=None,
         tracer=None,
     ) -> None:
+        if shards < 1:
+            raise ValueError("shards must be >= 1")
+        if hydrate is not None and not replicas:
+            raise ValueError("hydrate requires replicas=True")
         reg = registry if registry is not None else obs.metrics()
         self.tracer = tracer if tracer is not None else obs.tracer()
         self.index = index
         self.searcher = searcher or GraphSearcher(
             index, registry=registry, tracer=tracer
         )
+        self.shards = int(shards)
         self.default_k = int(k)
         self.cache_size = int(cache_size)
-        self._cache = _ResultCache(
-            cache_size, mode=invalidation, registry=reg, frontend="engine"
-        )
+        self._cache = _ResultCache(cache_size, mode=invalidation, registry=reg)
+        self._stats_lock = threading.Lock()
         self.n_queries = 0
         self.cache_hits = 0
         self.cache_misses = 0
@@ -386,7 +372,33 @@ class QueryEngine(AsyncSearchMixin):
         self._c_misses = reg.counter("cache_misses_total", frontend="engine")
         self._c_dedup = reg.counter("cache_dedup_total", frontend="engine")
         self._h_batch = reg.histogram("serve_batch_seconds", frontend="engine")
-        self._init_async()
+        # Per-shard series: the aggregate cannot show a hot or
+        # straggling shard, so misses and walk time are also recorded
+        # under a shard label.
+        shard_labels = [str(i) for i in range(self.shards)] if self.shards > 1 else []
+        self._c_shard_misses = [
+            reg.counter("shard_misses_total", frontend="engine", shard=s)
+            for s in shard_labels
+        ]
+        self._h_shard_batch = [
+            reg.histogram("shard_batch_seconds", frontend="engine", shard=s)
+            for s in shard_labels
+        ]
+        self._pending: list[tuple[object, int | None, asyncio.Future]] = []
+        self._flush_task: asyncio.Task | None = None
+        self._replica_set = (
+            ReplicaSet(
+                index, self.shards, searcher=self.searcher, hydrate=hydrate,
+                registry=registry,
+            )
+            if replicas
+            else None
+        )
+        self._pool = (
+            ThreadPoolExecutor(max_workers=self.shards, thread_name_prefix="repro-shard")
+            if self.shards > 1
+            else None
+        )
         self._view = index.deltas.register(_CacheView(self, "result_cache"))
 
     @property
@@ -394,8 +406,13 @@ class QueryEngine(AsyncSearchMixin):
         """The cache's invalidation mode (``"partial"`` or ``"full"``)."""
         return self._cache.mode
 
+    @property
+    def replica_set(self) -> ReplicaSet | None:
+        """The backing :class:`ReplicaSet` (``None`` without replicas)."""
+        return self._replica_set
+
     def close(self) -> None:
-        """Detach the invalidation view from the index's delta bus.
+        """Detach from the index; release the replicas and the pool.
 
         A closed engine stops observing mutations: in ``"full"`` mode
         the version stamps still refuse stale entries on lookup, in
@@ -405,6 +422,10 @@ class QueryEngine(AsyncSearchMixin):
         self._view.close()
         if self._cache.mode == "partial":
             self._cache.clear()
+        if self._replica_set is not None:
+            self._replica_set.close()
+        if self._pool is not None:
+            self._pool.shutdown()
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -432,44 +453,121 @@ class QueryEngine(AsyncSearchMixin):
 
         Cache hits are answered immediately; the misses are
         deduplicated by canonical profile (identical profiles are
-        searched once) and evaluated through the :class:`GraphSearcher`.
-        Results come back in request order.
+        searched once) and each goes to shard
+        ``crc32(canonical profile) % shards``. The shards' walks run
+        on the pool when the misses span several shards, else on the
+        calling thread. Results come back in request order.
+        Thread-safe: the cache and counters take their own locks and
+        every walk runs under its index's read lock.
         """
         t_batch = perf_counter()
         k = int(k if k is not None else self.default_k)
         results: list[SearchResult | None] = [None] * len(profiles)
         canon: list[np.ndarray] = []
         misses: OrderedDict[tuple, list[int]] = OrderedDict()
+        hits = 0
         for pos, profile in enumerate(profiles):
             ids = np.unique(np.asarray(profile, dtype=np.int64))
             canon.append(ids)
             key = (ids.tobytes(), k)
             hit = self._cache.get(key, self.index.version)
             if hit is not None:
-                self.cache_hits += 1
-                self._c_hits.inc()
+                hits += 1
                 results[pos] = hit
             else:
                 misses.setdefault(key, []).append(pos)
-        self.n_queries += len(profiles)
+        by_shard: dict[int, list[tuple]] = {}
         for key, positions in misses.items():
-            with self.tracer.span("query", k=k, dedup=len(positions)):
+            shard = zlib.crc32(key[0]) % self.shards
+            by_shard.setdefault(shard, []).append(
+                (key, canon[positions[0]], len(positions))
+            )
+        if len(by_shard) > 1:
+            futures = [
+                self._pool.submit(self._walk_shard, shard, items, k)
+                for shard, items in by_shard.items()
+            ]
+            walked = [future.result() for future in futures]
+        else:
+            walked = [self._walk_shard(shard, items, k) for shard, items in by_shard.items()]
+        for items, answers in zip(by_shard.values(), walked):
+            for (key, _, _), result in zip(items, answers):
+                for pos in misses[key]:
+                    results[pos] = result
+        dedup = len(profiles) - hits - len(misses)
+        with self._stats_lock:
+            self.n_queries += len(profiles)
+            self.cache_hits += hits
+            self.cache_misses += len(misses)
+            self.dedup_hits += dedup
+        if hits:
+            self._c_hits.inc(hits)
+        if misses:
+            self._c_misses.inc(len(misses))
+        if dedup:
+            self._c_dedup.inc(dedup)
+        self._h_batch.observe(perf_counter() - t_batch)
+        return results  # type: ignore[return-value]
+
+    def _walk_shard(self, shard: int, items: list[tuple], k: int) -> list[SearchResult]:
+        """Answer one shard's deduped misses and cache each answer."""
+        t0 = perf_counter()
+        replicas = self._replica_set
+        out = []
+        for key, profile, dedup in items:
+            with self.tracer.span("query", k=k, dedup=dedup):
                 version = self.index.version
-                result = self.searcher.top_k(canon[positions[0]], k=k)
+                if replicas is None:
+                    result = self.searcher.top_k(profile, k=k)
+                else:
+                    result = replicas.search(shard, profile, k)
                 with self.tracer.span("cache_store"):
                     self._cache.put(
                         key, version, result, live_version=lambda: self.index.version
                     )
-            self.cache_misses += 1
-            self._c_misses.inc()
-            dedup = len(positions) - 1
-            if dedup:
-                self.dedup_hits += dedup
-                self._c_dedup.inc(dedup)
-            for pos in positions:
-                results[pos] = result
-        self._h_batch.observe(perf_counter() - t_batch)
-        return results  # type: ignore[return-value]
+            out.append(result)
+        if self._c_shard_misses:
+            self._c_shard_misses[shard].inc(len(items))
+            self._h_shard_batch[shard].observe(perf_counter() - t0)
+        return out
+
+    # ------------------------------------------------------------------
+    # Async entry point
+    # ------------------------------------------------------------------
+
+    async def search_async(self, profile, k: int | None = None) -> SearchResult:
+        """Awaitable :meth:`search`; concurrent callers share a batch.
+
+        Every caller already scheduled when the flush task runs (e.g.
+        all coroutines of one ``asyncio.gather``) lands in the same
+        :meth:`search_many` batch and benefits from its deduplication.
+        """
+        loop = asyncio.get_running_loop()
+        future: asyncio.Future = loop.create_future()
+        self._pending.append((profile, k, future))
+        if self._flush_task is None or self._flush_task.done():
+            self._flush_task = loop.create_task(self._flush_pending())
+        return await future
+
+    async def _flush_pending(self) -> None:
+        await asyncio.sleep(0)  # let every scheduled caller enqueue first
+        while self._pending:
+            batch, self._pending = self._pending, []
+            groups: dict[int, list[tuple[object, asyncio.Future]]] = {}
+            for profile, k, future in batch:
+                kk = int(k if k is not None else self.default_k)
+                groups.setdefault(kk, []).append((profile, future))
+            for kk, items in groups.items():
+                try:
+                    outs = self.search_many([p for p, _ in items], k=kk)
+                except Exception as exc:  # pragma: no cover - defensive
+                    for _, future in items:
+                        if not future.done():
+                            future.set_exception(exc)
+                else:
+                    for (_, future), out in zip(items, outs):
+                        if not future.done():
+                            future.set_result(out)
 
     # ------------------------------------------------------------------
 
@@ -482,21 +580,34 @@ class QueryEngine(AsyncSearchMixin):
         """Operational counters for dashboards and tests.
 
         Keys follow the shared serving-stats vocabulary
-        (``docs/observability.md``); the pre-unification per-component
-        spellings were dropped after their one-release grace window.
+        (``docs/observability.md``). With replicas, the tier's
+        shipping, resync and serving counters ride along.
         """
-        return {
-            "component": "query_engine",
-            "queries_total": self.n_queries,
-            "cache_hits_total": self.cache_hits,
-            "cache_misses_total": self.cache_misses,
-            "dedup_hits_total": self.dedup_hits,
-            "evictions_total": self._cache.invalidations,
-            "resplit_evictions_total": self._cache.resplit_evictions,
-            "resplit_kept": self._cache.resplit_kept,
-            "invalidation_mode": self._cache.mode,
-            "cache_entries": len(self._cache),
-            "postings_entries": self._cache.postings_size(),
-            "cluster_postings_entries": self._cache.cluster_postings_size(),
-            "version": self.index.version,
-        }
+        with self._stats_lock:
+            out = {
+                "component": "query_engine",
+                "queries_total": self.n_queries,
+                "cache_hits_total": self.cache_hits,
+                "cache_misses_total": self.cache_misses,
+                "dedup_hits_total": self.dedup_hits,
+            }
+        out.update(
+            evictions_total=self._cache.invalidations,
+            resplit_evictions_total=self._cache.resplit_evictions,
+            resplit_kept=self._cache.resplit_kept,
+            invalidation_mode=self._cache.mode,
+            cache_entries=len(self._cache),
+            postings_entries=self._cache.postings_size(),
+            cluster_postings_entries=self._cache.cluster_postings_size(),
+            shards=self.shards,
+            version=self.index.version,
+        )
+        if self._replica_set is not None:
+            replica = self._replica_set.stats()
+            out.update(
+                deltas_shipped_total=replica["deltas_shipped_total"],
+                resyncs_total=replica["resyncs_total"],
+                replica_lag=replica["lag"],
+                replica_serving=replica["serving"],
+            )
+        return out

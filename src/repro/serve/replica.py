@@ -26,6 +26,12 @@ matters for serving: per-row neighbour-id sets
 (:func:`~repro.graph.heap.edge_digest`). Replica edge *ids* are always
 exact; stored edge scores may lag in-place rescorings, which the
 searcher never reads (candidates are scored against the query).
+
+A replica corrupted in place (a bad snapshot, an operator poking at
+its state) holds the *right version* with the *wrong edges*, which no
+seq guard can see. :meth:`ReplicaSet.audit` is the anti-entropy check
+for that: an explicit call (from a cron, an idle loop, a test), never
+a step of the write path.
 """
 
 from __future__ import annotations
@@ -75,10 +81,13 @@ class ReplicaSet:
 
     Args:
         index: the primary (mutations apply here, once).
-        n_replicas: replica count; the sharded front end routes batch
-            misses across them.
-        searcher_kwargs: forwarded to each replica's
-            :class:`GraphSearcher` (``ef``, ``budget``, ``rerank``, …).
+        n_replicas: replica count; a sharded
+            :class:`~repro.serve.QueryEngine` sends each shard's
+            misses to its own replica.
+        searcher: the :class:`GraphSearcher` whose configuration,
+            registry and tracer every replica walks with
+            (:meth:`GraphSearcher.rebind` to the replica's index);
+            default parameters otherwise.
         hydrate: optional zero-arg callable returning a detached
             :class:`OnlineIndex` to bootstrap each *initial* replica
             from — e.g. :meth:`repro.persist.DurableIndex.hydrate`,
@@ -99,7 +108,7 @@ class ReplicaSet:
         index: OnlineIndex,
         n_replicas: int = 2,
         *,
-        searcher_kwargs: dict | None = None,
+        searcher: GraphSearcher | None = None,
         hydrate=None,
         registry=None,
     ) -> None:
@@ -107,10 +116,13 @@ class ReplicaSet:
             raise ValueError("n_replicas must be >= 1")
         self.index = index
         self.n_replicas = int(n_replicas)
-        self.searcher_kwargs = dict(searcher_kwargs or {})
+        self.searcher = searcher or GraphSearcher(index, registry=registry)
         self.hydrate = hydrate
         self.deltas_shipped = 0
         self.resyncs = 0
+        self.audits = 0
+        self.divergences = 0
+        self.repairs = 0
         reg = registry if registry is not None else obs.metrics()
         self._c_shipped = reg.counter("replica_deltas_shipped_total")
         self._c_resyncs = reg.counter("replica_resyncs_total")
@@ -130,7 +142,7 @@ class ReplicaSet:
         for _ in range(self.n_replicas):
             replica = hydrate() if hydrate is not None else index.clone()
             self._replicas.append(replica)
-            self._searchers.append(GraphSearcher(replica, **self.searcher_kwargs))
+            self._searchers.append(self.searcher.rebind(replica))
         # Register after cloning: a mutation racing the clone is either
         # already inside the snapshot (its delta is skipped by the seq
         # guard) or arrives as the next delta in sequence. A delta lost
@@ -167,19 +179,19 @@ class ReplicaSet:
     # Serving
     # ------------------------------------------------------------------
 
-    def search(self, replica: int, profiles: list, k: int) -> list[SearchResult]:
-        """Serve a batch of profiles on replica ``replica``.
+    def search(self, replica: int, profile, k: int) -> SearchResult:
+        """Serve one profile on replica ``replica``.
 
         Walks the replica's own graph on the calling thread and charges
-        the batch to the replica's serving counters.
+        the walk to the replica's serving counters.
         """
-        results = [self._searchers[replica].top_k(p, k=k) for p in profiles]
+        result = self._searchers[replica].top_k(profile, k=k)
         with self._serving_lock:
             counters = self._served[replica]
-            counters["queries"] += len(results)
-            counters["evaluations"] += sum(r.evaluations for r in results)
-            counters["hops"] += sum(r.hops for r in results)
-        return results
+            counters["queries"] += 1
+            counters["evaluations"] += result.evaluations
+            counters["hops"] += result.hops
+        return result
 
     # ------------------------------------------------------------------
     # Introspection
@@ -189,21 +201,23 @@ class ReplicaSet:
         """Replica ``i`` (tests compare it to the primary)."""
         return self._replicas[i]
 
+    def _primary_state(self) -> tuple[int, int]:
+        with self.index.lock.read():
+            return self.index.version, edge_digest(self.index.graph.heaps)
+
     def converged(self) -> bool:
         """Whether every replica's edge sets match the primary's, now.
 
         Digests are slot-order independent.
         """
-        with self.index.lock.read():
-            want = (self.index.version, edge_digest(self.index.graph.heaps))
+        want = self._primary_state()
         return all(got == want for got in self.replica_states())
 
     def replica_states(self) -> list[tuple[int, int]]:
         """``(version, edge digest)`` per replica — the audit currency.
 
-        Each replica is read under its own lock. The
-        :class:`~repro.deltas.AntiEntropy` view compares these pairs
-        against the primary oracle.
+        Each replica is read under its own lock; :meth:`audit` compares
+        these pairs against the primary oracle.
         """
         out = []
         for replica in self._replicas:
@@ -215,14 +229,35 @@ class ReplicaSet:
         """Replace replica ``i`` with a fresh clone of the primary.
 
         The contained-failure path a sequence gap or ``rebuild`` takes,
-        and the repair entry point anti-entropy uses. Counted in
+        and the repair :meth:`audit` makes. Counted in
         ``resyncs_total``.
         """
         self.resyncs += 1
         self._c_resyncs.inc()
         replica = self.index.clone()
         self._replicas[i] = replica
-        self._searchers[i] = GraphSearcher(replica, **self.searcher_kwargs)
+        self._searchers[i] = self.searcher.rebind(replica)
+
+    def audit(self) -> int:
+        """Anti-entropy: resync every replica that silently diverged.
+
+        A replica reporting the primary's version with a different
+        edge digest holds the same journal prefix with different
+        edges, which incremental shipping can never repair: it is
+        resynced and counted. A replica at another version is merely
+        lagging and is left to the transport. Returns how many
+        replicas were repaired.
+        """
+        want = self._primary_state()
+        self.audits += 1
+        repaired = 0
+        for i, got in enumerate(self.replica_states()):
+            if got[0] == want[0] and got[1] != want[1]:
+                self.divergences += 1
+                self.resync_replica(i)
+                self.repairs += 1
+                repaired += 1
+        return repaired
 
     def lag(self) -> int:
         """Mutations shipped but not yet applied, worst replica."""
@@ -262,6 +297,9 @@ class ReplicaSet:
             "n_replicas": self.n_replicas,
             "deltas_shipped_total": self.deltas_shipped,
             "resyncs_total": self.resyncs,
+            "audits_total": self.audits,
+            "divergences_total": self.divergences,
+            "repairs_total": self.repairs,
             "lag": max(lags, default=0),
             "version": self.index.version,
             "serving": {

@@ -9,6 +9,53 @@ from repro.data import Dataset, SyntheticSpec, generate
 from repro.deltas import DerivedView
 
 
+def _mutate(index, rng, *, mix=(0.4, 0.25, 0.2), profile_size=12, tail=None) -> int:
+    """Apply one random mutation to ``index``; returns the touched user.
+
+    ``mix`` holds the probabilities of ``add_items`` (two random items
+    for a random active user), ``add_user`` (``profile_size`` random
+    items) and ``remove_user`` (only while more than 40 users are
+    active). The rest of the draws go to ``tail``: ``"refill"``
+    repairs a random degraded row, ``"read"`` reads a random active
+    user's neighbourhood (which refills it if degraded) and ``None``
+    does nothing. Returns ``-1`` when no user was touched.
+    """
+    p_items, p_user, p_remove = mix
+    active = index.dataset.active_users()
+    op = rng.random()
+    if op < p_items and active.size:
+        user = int(rng.choice(active))
+        index.add_items(user, rng.integers(0, index.dataset.n_items, size=2))
+        return user
+    if op < p_items + p_user:
+        return index.add_user(
+            rng.integers(0, index.dataset.n_items, size=profile_size)
+        )
+    if op < p_items + p_user + p_remove and active.size > 40:
+        user = int(rng.choice(active))
+        index.remove_user(user)
+        return user
+    if tail == "refill" and index.degraded:
+        user = int(rng.choice(list(index.degraded)))
+        index.refill(user)
+        return user
+    if tail == "read" and active.size:
+        user = int(rng.choice(active))
+        index.neighborhood(user)
+        return user
+    return -1
+
+
+@pytest.fixture()
+def mutate():
+    """``mutate(index, rng, *, mix, profile_size, tail)``, see :func:`_mutate`.
+
+    The one random-mutation helper the property suites share; each
+    suite binds its own op mix.
+    """
+    return _mutate
+
+
 class _TapView(DerivedView):
     """Calls ``fn`` with every published delta.
 

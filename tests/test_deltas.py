@@ -10,9 +10,10 @@ Covers the framework half and its contracts:
   snapshot/hydrate cursor plumbing;
 * clones and pickles start with a fresh bus that carries only the
   index's own reverse-adjacency view;
-* the :class:`AntiEntropy` auditor — the acceptance scenario: an
-  injected replica divergence (right version, wrong edges) is detected
-  and repaired, while merely lagging replicas are left alone.
+* the anti-entropy audit (:meth:`~repro.serve.ReplicaSet.audit`) — the
+  acceptance scenario: an injected replica divergence (right version,
+  wrong edges) is detected and repaired, while merely lagging replicas
+  are left alone.
 
 The resync-equals-incremental property per ported consumer lives in
 ``tests/test_prop_deltas.py`` (REPRO_PROP_SEED matrix).
@@ -26,13 +27,8 @@ import numpy as np
 import pytest
 
 from repro import C2Params
-from repro.deltas import (
-    AntiEntropy,
-    Delta,
-    DeltaBus,
-    DerivedView,
-)
-from repro.graph import ReverseAdjacency, edge_digest
+from repro.deltas import Delta, DeltaBus, DerivedView
+from repro.graph import ReverseAdjacency
 from repro.online import OnlineIndex, ReplicaDelta
 from repro.serve import QueryEngine, ReplicaSet
 
@@ -287,101 +283,80 @@ class TestConsumerRegistration:
 # ----------------------------------------------------------------------
 
 
-class _StubReplicas:
-    """A fake replica tier with scripted audit states."""
-
-    def __init__(self, states):
-        self.states = states
-        self.resynced = []
-
-    def replica_states(self):
-        return list(self.states)
-
-    def resync_replica(self, i):
-        self.resynced.append(i)
+def _corrupt(replica, row=0):
+    """Right version, wrong edges: the failure no seq guard can see."""
+    with replica.lock.write():
+        ids = replica.graph.heaps.ids
+        ids[row, 0] = ids[row, 1]  # a duplicate changes the row's multiset
 
 
 class TestAntiEntropy:
-    def test_every_must_be_positive(self, index):
-        with pytest.raises(ValueError):
-            AntiEntropy(index, _StubReplicas([]), every=0)
+    """``ReplicaSet.audit()`` against real replicas with corrupted rows."""
 
     def test_detects_and_repairs_injected_divergence(self, index, rng):
         replicas = ReplicaSet(index, 2)
-        auditor = index.deltas.register(AntiEntropy(index, replicas, every=4))
-        _churn(index, rng, n=10)
-        assert replicas.converged()
-        assert auditor.checks_total >= 2
-        assert auditor.divergences_total == 0
+        try:
+            _churn(index, rng, n=10)
+            assert replicas.converged()
+            assert replicas.audit() == 0
 
-        # Corrupt replica 0 in place: right version, wrong edges — the
-        # failure mode no seq guard can see.
-        victim = replicas.replica(0)
-        victim.graph.heaps.ids[0, 0] = victim.graph.heaps.ids[0, 1]
-        assert not replicas.converged()
+            _corrupt(replicas.replica(0))
+            assert not replicas.converged()
 
-        assert auditor.check() == 1
-        assert auditor.divergences_total == 1
-        assert auditor.repairs_total == 1
-        assert replicas.converged()
-        stats = auditor.stats()
-        assert stats["component"] == "anti_entropy"
-        assert stats["repairs_total"] == 1
-        auditor.close()
-        replicas.close()
+            assert replicas.audit() == 1
+            assert replicas.converged()
+            stats = replicas.stats()
+            assert stats["audits_total"] == 2
+            assert stats["divergences_total"] == 1
+            assert stats["repairs_total"] == 1
+            assert stats["resyncs_total"] == 1
+        finally:
+            replicas.close()
 
     def test_divergence_repaired_by_riding_the_tape(self, index, rng):
-        """The in-band path: the scheduled check flags a live divergence."""
+        """A divergence survives every later shipped delta; only the
+        audit sees it, whenever it runs."""
+        replicas = ReplicaSet(index, 2)
+        try:
+            _corrupt(replicas.replica(0))
+            _churn(index, rng, n=10)
+            # Shipping kept the corrupted replica at the primary's
+            # version without repairing (or even noticing) its edges.
+            assert replicas.stats()["resyncs_total"] == 0
+            assert replicas.replica(0).version == index.version
+            assert not replicas.converged()
+            assert replicas.audit() == 1
+            assert replicas.converged()
+        finally:
+            replicas.close()
 
-        class _AlwaysDiverged:
-            # Tracks the primary's version but never its digest — drift
-            # that incremental shipping can never repair.
-            def __init__(self):
-                self.resynced = []
-
-            def replica_states(self):
-                return [
-                    (int(index.version), edge_digest(index.graph.heaps) ^ 1)
-                ]
-
-            def resync_replica(self, i):
-                self.resynced.append(i)
-
-        stub = _AlwaysDiverged()
-        auditor = index.deltas.register(AntiEntropy(index, stub, every=3))
-        for _ in range(2):  # below the cadence: no audit yet
-            index.add_items(0, rng.integers(0, index.dataset.n_items, size=2))
-        assert auditor.checks_total == 0 and stub.resynced == []
+    def test_lagging_replica_is_not_flagged(self, index, rng):
+        stale = index.clone()
         index.add_items(0, rng.integers(0, index.dataset.n_items, size=2))
-        assert auditor.checks_total == 1
-        assert auditor.repairs_total == 1 and stub.resynced == [0]
-        auditor.close()
-
-    def test_lagging_replica_is_not_flagged(self, index):
-        want = (int(index.version), edge_digest(index.graph.heaps))
-        stub = _StubReplicas([
-            (want[0] - 1, want[1] + 1),  # lagging: older version
-            want,                        # healthy
-        ])
-        auditor = AntiEntropy(index, stub, every=1)
-        assert auditor.check() == 0
-        assert stub.resynced == []
-        assert auditor.divergences_total == 0
+        # Hydrated from a snapshot one mutation behind: lagging until
+        # the transport catches it up, and corrupted on top of that.
+        replicas = ReplicaSet(index, 2, hydrate=stale.clone)
+        try:
+            _corrupt(replicas.replica(0))
+            assert replicas.lag() == 1
+            assert replicas.audit() == 0
+            stats = replicas.stats()
+            assert stats["divergences_total"] == 0
+            assert stats["resyncs_total"] == 0
+        finally:
+            replicas.close()
 
     def test_same_version_wrong_digest_is_flagged(self, index):
-        want = (int(index.version), edge_digest(index.graph.heaps))
-        stub = _StubReplicas([want, (want[0], want[1] ^ 1)])
-        auditor = AntiEntropy(index, stub, every=1)
-        assert auditor.check() == 1
-        assert stub.resynced == [1]
-
-    def test_resync_recipe_is_a_check(self, index):
-        stub = _StubReplicas([])
-        auditor = index.deltas.register(AntiEntropy(index, stub, every=100))
-        index.deltas.resync(auditor)
-        assert auditor.checks_total == 1
-        assert auditor.resyncs_total == 1
-        auditor.close()
+        replicas = ReplicaSet(index, 2)
+        try:
+            healthy, victim = replicas.replica(0), replicas.replica(1)
+            _corrupt(victim, row=5)
+            assert replicas.audit() == 1
+            assert replicas.replica(0) is healthy  # left alone
+            assert replicas.replica(1) is not victim  # resynced
+            assert replicas.converged()
+        finally:
+            replicas.close()
 
 
 # ----------------------------------------------------------------------

@@ -7,7 +7,7 @@ same derived state the incremental path maintained —
 
 * **reverse adjacency**: the maintained in-edge sets equal a cold
   :meth:`~repro.graph.ReverseAdjacency.from_heaps` group-by;
-* **result caches** (engine and sharded front ends): resync clears to
+* **result caches** (one- and two-shard engines): resync clears to
   exactly a fresh engine's state, and post-resync answers match a
   fresh engine's answers query for query;
 * **replica shipping**: each replica's ``(version, digest)`` equals
@@ -17,7 +17,7 @@ same derived state the incremental path maintained —
 * **journal metrics**: the incrementally-maintained gauges equal a
   freshly resynced exporter's on the same index;
 * **anti-entropy**: a tape with injected divergence ends converged —
-  the auditor's scheduled checks repaired every corruption.
+  the explicit ``ReplicaSet.audit()`` calls repaired every corruption.
 
 The CI property matrix shifts the seed base via ``REPRO_PROP_SEED`` so
 tier-1 stays at two seeds per run but the tapes vary across jobs.
@@ -32,12 +32,11 @@ import pytest
 
 from repro import C2Params
 from repro.data import SyntheticSpec, generate
-from repro.deltas import AntiEntropy
 from repro.graph import ReverseAdjacency, edge_digest
 from repro.obs import JournalMetrics, MetricsRegistry
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
-from repro.serve import QueryEngine, ReplicaSet, ShardedQueryEngine
+from repro.serve import QueryEngine, ReplicaSet
 
 _SEED_BASE = int(os.environ.get("REPRO_PROP_SEED", "0"))
 SEEDS = [_SEED_BASE, _SEED_BASE + 1]
@@ -142,7 +141,7 @@ def test_engine_cache_resync_equals_fresh_engine(seed):
 def test_sharded_cache_resync_equals_fresh_frontend(seed):
     index = _index(seed)
     rng = np.random.default_rng(seed + 30)
-    sharded = ShardedQueryEngine(index, n_shards=2, k=K)
+    sharded = QueryEngine(index, shards=2, k=K)
     try:
         pool = _pool(rng, index, n=20)
         for _ in range(2):
@@ -150,7 +149,7 @@ def test_sharded_cache_resync_equals_fresh_frontend(seed):
             _churn(index, rng, n=8)
         index.deltas.resync(sharded._view)
         assert sharded.stats()["cache_entries"] == 0
-        fresh = ShardedQueryEngine(index, n_shards=2, k=K)
+        fresh = QueryEngine(index, shards=2, k=K)
         try:
             got = sharded.search_many(pool)
             want = fresh.search_many(pool)
@@ -252,7 +251,6 @@ def test_anti_entropy_heals_random_corruptions_on_the_tape(seed):
     index = _index(seed)
     rng = np.random.default_rng(seed + 70)
     replicas = ReplicaSet(index, 2)
-    auditor = index.deltas.register(AntiEntropy(index, replicas, every=8))
     try:
         for round_ in range(4):
             _churn(index, rng, n=12)
@@ -263,12 +261,13 @@ def test_anti_entropy_heals_random_corruptions_on_the_tape(seed):
             with victim.lock.write():
                 ids = victim.graph.heaps.ids
                 ids[row, 0] = ids[row, 1]  # duplicate: multiset changes
-            auditor.check()
+            replicas.audit()
         assert replicas.converged()
-        assert auditor.checks_total >= 4
+        stats = replicas.stats()
+        assert stats["audits_total"] == 4
+        assert stats["divergences_total"] >= 1
         # A row whose first two slots already matched diverges nothing;
         # every divergence that did occur was healed.
-        assert auditor.repairs_total == auditor.divergences_total
+        assert stats["repairs_total"] == stats["divergences_total"]
     finally:
-        auditor.close()
         replicas.close()

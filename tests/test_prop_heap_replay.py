@@ -204,30 +204,19 @@ def _index(seed):
     return OnlineIndex.build(dataset, params=params)
 
 
-def _mutate(index, rng):
-    active = index.dataset.active_users()
-    op = rng.random()
-    if op < 0.4 and active.size:
-        index.add_items(
-            int(rng.choice(active)), rng.integers(0, index.dataset.n_items, size=2)
-        )
-    elif op < 0.65:
-        index.add_user(rng.integers(0, index.dataset.n_items, size=12))
-    elif op < 0.85 and active.size > 40:
-        index.remove_user(int(rng.choice(active)))
-    elif active.size:
-        index.neighborhood(int(rng.choice(active)))
+# The op mix this suite draws from (see conftest.py ``mutate``).
+_OPS = dict(tail="read")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_recovery_parity_through_batched_replay(seed, tmp_path):
+def test_recovery_parity_through_batched_replay(seed, tmp_path, mutate):
     """WAL recovery (batched heap + reverse replay) == live state."""
     index = _index(seed)
     index.reverse_index()
     durable = index.attach_persistence(tmp_path, checkpoint_bytes=0)
     rng = np.random.default_rng(seed + 1000)
     for _ in range(N_OPS):
-        _mutate(index, rng)
+        mutate(index, rng, **_OPS)
     durable.close()
     recovered = DurableIndex.recover(tmp_path)
     try:
@@ -253,7 +242,7 @@ def test_recovery_parity_through_batched_replay(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_replica_parity_through_batched_replay(seed):
+def test_replica_parity_through_batched_replay(seed, mutate):
     """Thread replicas fed shipped deltas converge via the batched path."""
     index = _index(seed)
     index.reverse_index()
@@ -261,7 +250,7 @@ def test_replica_parity_through_batched_replay(seed):
     try:
         rng = np.random.default_rng(seed + 2000)
         for _ in range(N_OPS):
-            _mutate(index, rng)
+            mutate(index, rng, **_OPS)
         assert replicas.converged()
         assert replicas.stats()["resyncs_total"] == 0
         for pos in range(2):

@@ -52,21 +52,8 @@ def _index(seed):
     return OnlineIndex.build(dataset, params=params)
 
 
-def _mutate(index, rng):
-    """One random mutation (including refill-triggering reads)."""
-    active = index.dataset.active_users()
-    op = rng.random()
-    if op < 0.4 and active.size:
-        user = int(rng.choice(active))
-        index.add_items(user, rng.integers(0, index.dataset.n_items, size=2))
-    elif op < 0.65:
-        index.add_user(rng.integers(0, index.dataset.n_items, size=12))
-    elif op < 0.85 and active.size > 40:
-        index.remove_user(int(rng.choice(active)))
-    elif active.size:
-        # Reading a degraded row refills it — a mutation with its own
-        # delta, so recovery must reproduce the repair too.
-        index.neighborhood(int(rng.choice(active)))
+# The op mix this suite draws from (see conftest.py ``mutate``).
+_OPS = dict(tail="read")
 
 
 def _assert_parity(live: OnlineIndex, recovered: OnlineIndex) -> None:
@@ -90,13 +77,13 @@ def _assert_parity(live: OnlineIndex, recovered: OnlineIndex) -> None:
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_recovery_state_parity_after_random_tape(seed, tmp_path):
+def test_recovery_state_parity_after_random_tape(seed, tmp_path, mutate):
     index = _index(seed)
     index.reverse_index()
     durable = index.attach_persistence(tmp_path, checkpoint_bytes=0)
     rng = np.random.default_rng(seed + 1000)
     for step in range(N_OPS):
-        _mutate(index, rng)
+        mutate(index, rng, **_OPS)
         if rng.random() < 0.1:
             durable.checkpoint()  # randomly-placed checkpoints
     durable.close()
@@ -107,12 +94,12 @@ def test_recovery_state_parity_after_random_tape(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_recovered_serving_equals_live_serving(seed, tmp_path):
+def test_recovered_serving_equals_live_serving(seed, tmp_path, mutate):
     index = _index(seed)
     durable = index.attach_persistence(tmp_path, checkpoint_bytes=0)
     rng = np.random.default_rng(seed + 2000)
     for _ in range(N_OPS):
-        _mutate(index, rng)
+        mutate(index, rng, **_OPS)
     durable.close()
     recovered = DurableIndex.recover(tmp_path)
     live = GraphSearcher(index, ef=16)
@@ -127,7 +114,7 @@ def test_recovered_serving_equals_live_serving(seed, tmp_path):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_every_wal_prefix_recovers_a_valid_version(seed, tmp_path):
+def test_every_wal_prefix_recovers_a_valid_version(seed, tmp_path, mutate):
     """Chopping the log after any record yields that record's state.
 
     The crash model: a restart may find any prefix of the appended
@@ -142,7 +129,7 @@ def test_every_wal_prefix_recovers_a_valid_version(seed, tmp_path):
     rng = np.random.default_rng(seed + 3000)
     digests = {index.version: edge_digest(index.graph.heaps)}
     for _ in range(N_OPS // 2):
-        _mutate(index, rng)
+        mutate(index, rng, **_OPS)
         digests[index.version] = edge_digest(index.graph.heaps)
     durable.close()
 

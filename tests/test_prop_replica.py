@@ -44,26 +44,8 @@ def _index(seed, backend="goldfinger"):
     return OnlineIndex.build(dataset, params=params, backend=backend)
 
 
-def _mutate(index, rng):
-    """One random mutation (including refills); returns the user (or -1)."""
-    active = index.dataset.active_users()
-    op = rng.random()
-    if op < 0.4 and active.size:
-        user = int(rng.choice(active))
-        index.add_items(user, rng.integers(0, index.dataset.n_items, size=2))
-        return user
-    if op < 0.65:
-        return index.add_user(rng.integers(0, index.dataset.n_items, size=12))
-    if op < 0.85 and active.size > 40:
-        user = int(rng.choice(active))
-        index.remove_user(user)
-        return user
-    degraded = list(index.degraded)
-    if degraded:
-        user = int(rng.choice(degraded))
-        index.refill(user)
-        return user
-    return -1
+# The op mix this suite draws from (see conftest.py ``mutate``).
+_OPS = dict(tail="refill")
 
 
 def _random_profile(index, rng):
@@ -89,7 +71,7 @@ def _assert_state_parity(replica, primary):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_synchronous_replica_is_identical_at_every_step(seed):
+def test_synchronous_replica_is_identical_at_every_step(seed, mutate):
     primary = _index(seed)
     primary.reverse_index()  # maintained on both sides from the start
     replicas = ReplicaSet(primary, 2)
@@ -98,7 +80,7 @@ def test_synchronous_replica_is_identical_at_every_step(seed):
     rng = np.random.default_rng(seed + 600)
     try:
         for _ in range(N_OPS):
-            _mutate(primary, rng)
+            mutate(primary, rng, **_OPS)
             _assert_state_parity(replicas.replica(0), primary)
             # Behaviour oracle: the replica's walk answers exactly what
             # the primary's would, profile by profile.
@@ -115,7 +97,7 @@ def test_synchronous_replica_is_identical_at_every_step(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lagging_replica_converges_once_drained(seed, tap):
+def test_lagging_replica_converges_once_drained(seed, tap, mutate):
     """Buffer the shipped deltas, drain them in random chunks."""
     primary = _index(seed)
     primary.reverse_index()
@@ -126,7 +108,7 @@ def test_lagging_replica_converges_once_drained(seed, tap):
     rng = np.random.default_rng(seed + 700)
     try:
         for _ in range(N_OPS):
-            _mutate(primary, rng)
+            mutate(primary, rng, **_OPS)
             if queue and rng.random() < 0.4:
                 # Drain a random prefix — the replica lags behind by
                 # whatever remains buffered.
@@ -141,7 +123,7 @@ def test_lagging_replica_converges_once_drained(seed, tap):
         # changes nothing.
         replayed = []
         replay_feed = tap(primary, replayed.append, scored=True)
-        _mutate(primary, np.random.default_rng(seed + 701))
+        mutate(primary, np.random.default_rng(seed + 701), **_OPS)
         for delta in replayed:
             assert replica.apply_delta(delta)
             assert not replica.apply_delta(delta)
@@ -152,7 +134,7 @@ def test_lagging_replica_converges_once_drained(seed, tap):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_snapshot_raced_deltas_are_skipped(seed, tap):
+def test_snapshot_raced_deltas_are_skipped(seed, tap, mutate):
     """A delta older than the snapshot it joined must be a no-op."""
     primary = _index(seed)
     deltas = []
@@ -160,7 +142,7 @@ def test_snapshot_raced_deltas_are_skipped(seed, tap):
     rng = np.random.default_rng(seed + 800)
     try:
         for _ in range(5):
-            _mutate(primary, rng)
+            mutate(primary, rng, **_OPS)
         clone = primary.clone()  # snapshot already contains all 5
         for delta in deltas:
             assert not clone.apply_delta(delta)

@@ -46,16 +46,8 @@ def _index(seed, backend="exact", auto_resplit=False, threshold=60):
     )
 
 
-def _mutate(index, rng):
-    active = index.dataset.active_users()
-    op = rng.random()
-    if op < 0.5 and active.size:
-        user = int(rng.choice(active))
-        index.add_items(user, rng.integers(0, index.dataset.n_items, size=2))
-    elif op < 0.75:
-        index.add_user(rng.integers(0, index.dataset.n_items, size=15))
-    elif active.size > 40:
-        index.remove_user(int(rng.choice(active)))
+# The op mix this suite draws from (see conftest.py ``mutate``).
+_OPS = dict(mix=(0.5, 0.25, 0.25), profile_size=15)
 
 
 def _random_profile(index, rng):
@@ -85,12 +77,12 @@ def _pair(index, **kwargs):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("backend", ["exact", "goldfinger"])
-def test_numpy_equals_python_across_parameter_grid(seed, backend):
+def test_numpy_equals_python_across_parameter_grid(seed, backend, mutate):
     """Random tapes + random k/ef/budget/exclude/extra_seeds combos."""
     index = _index(seed, backend=backend)
     rng = np.random.default_rng(seed + 11)
     for _ in range(25):
-        _mutate(index, rng)
+        mutate(index, rng, **_OPS)
     for rerank in (None, "exact"):
         s_np, s_py = _pair(index, rerank=rerank)
         for trial in range(10):
@@ -122,13 +114,13 @@ def test_numpy_equals_python_across_parameter_grid(seed, backend):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_numpy_equals_python_under_interleaved_mutations(seed):
+def test_numpy_equals_python_under_interleaved_mutations(seed, mutate):
     """Equivalence must hold at every intermediate index state."""
     index = _index(seed)
     s_np, s_py = _pair(index)
     rng = np.random.default_rng(seed + 23)
     for step in range(40):
-        _mutate(index, rng)
+        mutate(index, rng, **_OPS)
         profile = _random_profile(index, rng)
         budget = None if step % 2 else int(rng.integers(10, 120))
         a = s_np.top_k(profile, k=K, budget=budget)

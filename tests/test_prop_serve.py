@@ -30,16 +30,8 @@ def _index(seed):
     return OnlineIndex.build(dataset, params=params)
 
 
-def _mutate(index, rng):
-    active = index.dataset.active_users()
-    op = rng.random()
-    if op < 0.5 and active.size:
-        user = int(rng.choice(active))
-        index.add_items(user, rng.integers(0, index.dataset.n_items, size=2))
-    elif op < 0.75:
-        index.add_user(rng.integers(0, index.dataset.n_items, size=15))
-    elif active.size > 40:
-        index.remove_user(int(rng.choice(active)))
+# The op mix this suite draws from (see conftest.py ``mutate``).
+_OPS = dict(mix=(0.5, 0.25, 0.25), profile_size=15)
 
 
 def _random_profile(index, rng):
@@ -51,7 +43,7 @@ def _random_profile(index, rng):
 
 
 @pytest.mark.parametrize("seed", [0, 1, 2])
-def test_cache_never_serves_stale_neighbors(seed):
+def test_cache_never_serves_stale_neighbors(seed, mutate):
     index = _index(seed)
     # Full invalidation is the mode with the strict contract this test
     # asserts (cached answer == fresh search, always); the relaxed
@@ -63,7 +55,7 @@ def test_cache_never_serves_stale_neighbors(seed):
     try:
         for _ in range(N_OPS):
             if rng.random() < 0.5:
-                _mutate(index, rng)
+                mutate(index, rng, **_OPS)
             profile = _random_profile(index, rng)
             served = queries.search(profile, k=K)
             fresh = oracle.top_k(np.unique(np.asarray(profile, dtype=np.int64)), k=K)
@@ -82,13 +74,13 @@ def test_cache_never_serves_stale_neighbors(seed):
 
 
 @pytest.mark.parametrize("seed", [3, 4])
-def test_served_results_only_contain_active_users(seed):
+def test_served_results_only_contain_active_users(seed, mutate):
     index = _index(seed)
     queries = QueryEngine(index, k=K)
     rng = np.random.default_rng(seed)
     try:
         for _ in range(30):
-            _mutate(index, rng)
+            mutate(index, rng, **_OPS)
             result = queries.search(_random_profile(index, rng), k=K)
             active = index.dataset.active_mask()
             assert all(active[v] for v in result.ids)

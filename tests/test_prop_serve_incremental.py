@@ -47,27 +47,8 @@ def _index(seed, backend="goldfinger"):
     return OnlineIndex.build(dataset, params=params, backend=backend)
 
 
-def _mutate(index, rng):
-    """One random mutation; returns the touched user id (or -1)."""
-    active = index.dataset.active_users()
-    op = rng.random()
-    if op < 0.4 and active.size:
-        user = int(rng.choice(active))
-        index.add_items(user, rng.integers(0, index.dataset.n_items, size=2))
-        return user
-    if op < 0.65:
-        return index.add_user(rng.integers(0, index.dataset.n_items, size=12))
-    if op < 0.85 and active.size > 40:
-        user = int(rng.choice(active))
-        index.remove_user(user)
-        return user
-    if active.size:  # trigger a lazy refill (also a mutation event)
-        degraded = list(index.degraded)
-        if degraded:
-            user = int(rng.choice(degraded))
-            index.refill(user)
-            return user
-    return -1
+# The op mix this suite draws from (see conftest.py ``mutate``).
+_OPS = dict(tail="refill")
 
 
 def _random_profile(index, rng):
@@ -79,14 +60,14 @@ def _random_profile(index, rng):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_incremental_reverse_matches_rebuild_oracle(seed):
+def test_incremental_reverse_matches_rebuild_oracle(seed, mutate):
     index = _index(seed)
     incremental = GraphSearcher(index)
     index.reverse_index()  # prime: maintained through every mutation below
     rng = np.random.default_rng(seed + 200)
     for _ in range(N_OPS):
         if rng.random() < 0.6:
-            _mutate(index, rng)
+            mutate(index, rng, **_OPS)
         # Structure: the maintained in-edge sets equal a from-scratch
         # group-by over the live heap table.
         assert (
@@ -106,7 +87,7 @@ def test_incremental_reverse_matches_rebuild_oracle(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_targeted_purge_matches_full_scan(seed):
+def test_targeted_purge_matches_full_scan(seed, mutate):
     """remove_user/update via the reverse index == the O(n·k) scans."""
     with_reverse = _index(seed)
     without_reverse = _index(seed)
@@ -114,8 +95,8 @@ def test_targeted_purge_matches_full_scan(seed):
     rng_a = np.random.default_rng(seed + 300)
     rng_b = np.random.default_rng(seed + 300)
     for _ in range(N_OPS):
-        _mutate(with_reverse, rng_a)
-        _mutate(without_reverse, rng_b)
+        mutate(with_reverse, rng_a, **_OPS)
+        mutate(without_reverse, rng_b, **_OPS)
         assert np.array_equal(
             with_reverse.graph.heaps.ids, without_reverse.graph.heaps.ids
         )
@@ -126,7 +107,7 @@ def test_targeted_purge_matches_full_scan(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_partial_cache_never_holds_mutated_users(seed):
+def test_partial_cache_never_holds_mutated_users(seed, mutate):
     index = _index(seed)
     queries = QueryEngine(index, k=K)  # partial invalidation default
     rng = np.random.default_rng(seed + 400)
@@ -136,7 +117,7 @@ def test_partial_cache_never_holds_mutated_users(seed):
             served = queries.search(pool[int(rng.integers(0, len(pool)))], k=K)
             active = index.dataset.active_mask()
             assert all(active[v] for v in served.ids)
-            user = _mutate(index, rng)
+            user = mutate(index, rng, **_OPS)
             if user >= 0:
                 # The eviction invariant, checked directly: no entry
                 # surviving the mutation contains the mutated user.
@@ -150,7 +131,7 @@ def test_partial_cache_never_holds_mutated_users(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_partial_cache_postings_stay_consistent(seed):
+def test_partial_cache_postings_stay_consistent(seed, mutate):
     """Postings map == inverted index of the cached entries, always."""
     index = _index(seed)
     queries = QueryEngine(index, k=K, cache_size=12)  # force LRU churn
@@ -158,7 +139,7 @@ def test_partial_cache_postings_stay_consistent(seed):
     try:
         for _ in range(N_OPS):
             if rng.random() < 0.4:
-                _mutate(index, rng)
+                mutate(index, rng, **_OPS)
             queries.search(_random_profile(index, rng), k=K)
             cache = queries._cache
             expected: dict[int, set] = {}

@@ -1,11 +1,11 @@
-"""Tests for the replica serving tier (repro.serve.replica + sharded).
+"""Tests for the replica serving tier (``QueryEngine(replicas=True)``).
 
 The tier's contracts: replicas converge to the primary's exact serving
 state by applying shipped journal deltas (never by re-cloning, outside
-``rebuild``), any replica answers exactly what the primary would,
-miss routing only shapes load, and the sharded front end's
-``search_async`` coalesces concurrent awaiters exactly like
-``QueryEngine.search_async``. Plus the PR-4 cache fix: a brand-new
+``rebuild``), any replica answers exactly what the primary would, the
+profile-hash miss rule spreads a batch over every replica, and a
+replicated engine's ``search_async`` coalesces concurrent awaiters
+exactly like a single-shard one. Plus the PR-4 cache fix: a brand-new
 very-similar signup evicts the cached answers it should appear in.
 """
 
@@ -17,7 +17,7 @@ import pytest
 
 from repro import C2Params
 from repro.online import OnlineIndex, StaleReplicaError
-from repro.serve import QueryEngine, ReplicaSet, ShardedQueryEngine
+from repro.serve import QueryEngine, ReplicaSet
 from repro.graph.heap import edge_digest
 
 
@@ -109,12 +109,9 @@ class TestReplicaSet:
 
 
 class TestReplicaRouting:
-    @pytest.mark.parametrize("routing", ["round_robin", "least_loaded", "hash"])
-    def test_policies_match_single_worker_answers(self, small_dataset, routing):
+    def test_replicas_match_single_worker_answers(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(
-            index, 3, replicas=True, routing=routing, cache_size=0
-        )
+        engine = QueryEngine(index, shards=3, replicas=True, cache_size=0)
         oracle = QueryEngine(index, cache_size=0)
         rng = np.random.default_rng(5)
         batch = _batch(rng, small_dataset.n_items)
@@ -127,12 +124,9 @@ class TestReplicaRouting:
             engine.close()
             oracle.close()
 
-    @pytest.mark.parametrize("routing", ["round_robin", "least_loaded"])
-    def test_policies_spread_misses_across_replicas(self, small_dataset, routing):
+    def test_misses_spread_across_replicas(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(
-            index, 3, replicas=True, routing=routing, cache_size=0
-        )
+        engine = QueryEngine(index, shards=3, replicas=True, cache_size=0)
         try:
             rng = np.random.default_rng(6)
             before = [
@@ -141,7 +135,7 @@ class TestReplicaRouting:
             ]
             engine.search_many(_batch(rng, small_dataset.n_items, size=24))
             # Thread replicas charge walks to their own engine copies —
-            # a policy that funnelled everything to one replica would
+            # a rule that funnelled everything to one replica would
             # leave the others' counters untouched.
             charged = [
                 replica.engine.comparisons - b
@@ -151,20 +145,18 @@ class TestReplicaRouting:
         finally:
             engine.close()
 
-    def test_routing_requires_replicas(self, small_dataset):
+    def test_hydrate_requires_replicas(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
         with pytest.raises(ValueError):
-            ShardedQueryEngine(index, 2, routing="round_robin")
-        with pytest.raises(ValueError):
-            ShardedQueryEngine(index, 2, replicas=True, routing="random")
+            QueryEngine(index, shards=2, hydrate=index.clone)
 
     def test_stats_surface_replica_counters(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True)
+        engine = QueryEngine(index, shards=2, replicas=True)
         try:
             index.add_user([1, 2, 3])
             stats = engine.stats()
-            assert stats["routing"] == "round_robin"
+            assert stats["shards"] == 2
             assert stats["deltas_shipped_total"] == 1
             assert stats["resyncs_total"] == 0
             assert stats["replica_lag"] == 0
@@ -175,7 +167,7 @@ class TestReplicaRouting:
 class TestShardedSearchAsync:
     def test_concurrent_awaiters_share_one_walk(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True)
+        engine = QueryEngine(index, shards=2, replicas=True)
         try:
             async def burst():
                 return await asyncio.gather(
@@ -192,7 +184,7 @@ class TestShardedSearchAsync:
 
     def test_mixed_k_and_oracle_equality(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True, cache_size=0)
+        engine = QueryEngine(index, shards=2, replicas=True, cache_size=0)
         oracle = QueryEngine(index, cache_size=0)
         try:
             async def burst():
@@ -211,7 +203,7 @@ class TestShardedSearchAsync:
     def test_async_dedup_survives_concurrent_mutations(self, small_dataset):
         """Bursts of awaiters race a mutator thread; answers stay sound."""
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True)
+        engine = QueryEngine(index, shards=2, replicas=True)
         stop = threading.Event()
 
         def mutate():
@@ -263,7 +255,7 @@ class TestSignupInvalidation:
 
     def test_sharded_partial_cache_gets_the_same_seeding(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, 2, replicas=True, k=5)
+        engine = QueryEngine(index, shards=2, replicas=True, k=5)
         try:
             profile = small_dataset.profile(7)
             before = engine.search(profile)

@@ -1,4 +1,4 @@
-"""Tests for the sharded serving front end (repro.serve.sharded).
+"""Tests for the sharded serving front end (``QueryEngine(shards=...)``).
 
 Two properties matter: sharding must never change answers (the same
 deterministic searcher runs in every worker, so a sharded batch equals
@@ -7,6 +7,7 @@ from many threads while mutations stream in (walks run under the
 index's read lock, mutations under its write lock).
 """
 
+import sys
 import threading
 
 import numpy as np
@@ -15,7 +16,7 @@ import pytest
 from repro import C2Params
 from repro.obs import MetricsRegistry, Tracer
 from repro.online import OnlineIndex
-from repro.serve import QueryEngine, ShardedQueryEngine
+from repro.serve import QueryEngine
 
 
 def _params(**kw):
@@ -39,8 +40,8 @@ class TestShardedDeterminism:
         rng = np.random.default_rng(0)
         batch = _batch(rng, small_dataset.n_items)
         registry, tracer = MetricsRegistry(), Tracer()
-        sharded = ShardedQueryEngine(
-            sharded_index, n_shards=3, cache_size=0, replicas=replicas,
+        sharded = QueryEngine(
+            sharded_index, shards=3, cache_size=0, replicas=replicas,
             registry=registry, tracer=tracer,
         )
         single = QueryEngine(sharded_index, cache_size=0)
@@ -55,7 +56,10 @@ class TestShardedDeterminism:
             # engine's own registry and tracer.
             walks = sharded.stats()["cache_misses_total"]
             assert registry.counter("serve_queries_total").value == walks
-            assert [s.name for s in tracer.recent()] == ["search"] * walks
+            roots = tracer.recent()
+            assert [s.name for s in roots] == ["query"] * walks
+            for root in roots:
+                assert [c.name for c in root.children] == ["search", "cache_store"]
         finally:
             sharded.close()
             single.close()
@@ -65,7 +69,7 @@ class TestShardedDeterminism:
         engine sum to the engine's charge and match serial walks."""
         rng = np.random.default_rng(2)
         batch = _batch(rng, small_dataset.n_items, size=200)
-        sharded = ShardedQueryEngine(sharded_index, n_shards=2, cache_size=0)
+        sharded = QueryEngine(sharded_index, shards=2, cache_size=0)
         single = QueryEngine(sharded_index, cache_size=0)
         try:
             before = sharded_index.engine.comparisons
@@ -79,12 +83,48 @@ class TestShardedDeterminism:
             sharded.close()
             single.close()
 
+    @pytest.mark.parametrize("replicas", [False, True])
+    @pytest.mark.parametrize("shards", [1, 2, 4])
+    def test_bit_identical_to_one_shard(
+        self, small_dataset, sharded_index, shards, replicas
+    ):
+        """Any shard count, shared or replicated, answers exactly what
+        ``shards=1`` does, and its walks sum to what the engines it
+        walked were charged."""
+        rng = np.random.default_rng(3)
+        batch = _batch(rng, small_dataset.n_items, size=40)
+        reference = QueryEngine(sharded_index, cache_size=0)
+        engine = QueryEngine(
+            sharded_index, shards=shards, replicas=replicas, cache_size=0
+        )
+        try:
+            want = reference.search_many(batch)
+            walked = (
+                [engine.replica_set.replica(i) for i in range(shards)]
+                if replicas
+                else [sharded_index]
+            )
+            before = [index.engine.comparisons for index in walked]
+            got = engine.search_many(batch)
+            charged = sum(
+                index.engine.comparisons - b for index, b in zip(walked, before)
+            )
+            for x, y in zip(got, want):
+                assert np.array_equal(x.ids, y.ids)
+                assert np.array_equal(x.scores, y.scores)
+                assert x.evaluations == y.evaluations
+            walks = {id(r): r for r in got}.values()  # in-batch dedup shares results
+            assert sum(r.evaluations for r in walks) == charged
+        finally:
+            engine.close()
+            reference.close()
+
     def test_shard_count_does_not_change_results(self, small_dataset, sharded_index):
         rng = np.random.default_rng(1)
         batch = _batch(rng, small_dataset.n_items)
         outs = []
-        for n_shards in (1, 2, 4):
-            engine = ShardedQueryEngine(sharded_index, n_shards=n_shards, cache_size=0)
+        for shards in (1, 2, 4):
+            engine = QueryEngine(sharded_index, shards=shards, cache_size=0)
             try:
                 outs.append(engine.search_many(batch))
             finally:
@@ -97,10 +137,10 @@ class TestShardedDeterminism:
 class TestShardedFrontEnd:
     def test_validation(self, sharded_index):
         with pytest.raises(ValueError):
-            ShardedQueryEngine(sharded_index, n_shards=0)
+            QueryEngine(sharded_index, shards=0)
 
     def test_cache_and_dedup(self, sharded_index):
-        engine = ShardedQueryEngine(sharded_index, n_shards=2)
+        engine = QueryEngine(sharded_index, shards=2)
         try:
             a = engine.search_many([[1, 2], [2, 1], [5, 9]])
             assert a[0] is a[1]  # deduped within the batch
@@ -115,7 +155,7 @@ class TestShardedFrontEnd:
 
     def test_partial_invalidation_is_wired(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, n_shards=2)
+        engine = QueryEngine(index, shards=2)
         try:
             a = engine.search([1, 2, 3])
             victim = int(a.ids[0])
@@ -135,7 +175,7 @@ class TestShardedConcurrency:
     def test_queries_race_mutations(self, small_dataset):
         """Hammer one engine from 4 threads while mutations stream in."""
         index = OnlineIndex.build(small_dataset, params=_params())
-        engine = ShardedQueryEngine(index, n_shards=2)
+        engine = QueryEngine(index, shards=2)
         errors: list[BaseException] = []
         stop = threading.Event()
 
@@ -186,3 +226,57 @@ class TestShardedConcurrency:
             assert all(active[v] for v in fresh.ids)
         finally:
             oracle.close()
+
+    def test_counters_survive_concurrent_batches(self, small_dataset, sharded_index):
+        """More callers and shards than cores, rapid thread switches: no
+        counter loses an update."""
+        registry = MetricsRegistry()
+        engine = QueryEngine(sharded_index, shards=4, cache_size=64, registry=registry)
+        before = sharded_index.engine.comparisons
+        served: list[list] = []
+        errors: list[BaseException] = []
+
+        def caller(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(5):
+                    batch = _batch(rng, small_dataset.n_items, size=8)
+                    batch += batch[:3]  # in-batch duplicates exercise dedup
+                    served.append(engine.search_many(batch))
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=caller, args=(s,)) for s in range(6)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        stats = engine.stats()
+        assert stats["queries_total"] == 6 * 5 * 11
+        assert stats["queries_total"] == (
+            stats["cache_hits_total"] + stats["cache_misses_total"] + stats["dedup_hits_total"]
+        )
+        walks = stats["cache_misses_total"]
+        assert registry.counter("serve_queries_total").value == walks
+        assert sum(
+            registry.counter("shard_misses_total", frontend="engine", shard=str(i)).value
+            for i in range(4)
+        ) == walks
+        assert registry.counter("cache_hits_total", frontend="engine").value == (
+            stats["cache_hits_total"]
+        )
+        # Hits re-serve a walk's result object; every walk is charged
+        # to the shared engine exactly once.
+        results = {id(r): r for batch in served for r in batch}.values()
+        assert len(results) == walks
+        assert sum(r.evaluations for r in results) == (
+            sharded_index.engine.comparisons - before
+        )
