@@ -2,7 +2,8 @@
 
 Benchmarks print the same rows the paper's tables report (plus the
 paper's numbers alongside, for shape comparison) and persist them under
-``benchmarks/results/`` so the output survives pytest capture.
+the repository root's git-ignored ``benchmark_results/`` so the output
+survives pytest capture.
 """
 
 from __future__ import annotations
@@ -39,15 +40,17 @@ def format_table(rows: Sequence[dict], title: str | None = None) -> str:
 
 
 def results_dir() -> Path:
-    """``benchmarks/results/`` relative to the repository root."""
+    """``benchmark_results/`` at the repository root, created on demand.
+
+    The root is the nearest ancestor of this file holding ``setup.py``,
+    so the directory does not depend on the working directory. An
+    installed copy outside the repository falls back to
+    ``$CWD/benchmark_results/``.
+    """
     here = Path(__file__).resolve()
-    for parent in here.parents:
-        if (parent / "pyproject.toml").exists():
-            out = parent / "benchmarks" / "results"
-            out.mkdir(parents=True, exist_ok=True)
-            return out
-    out = Path.cwd() / "benchmark_results"
-    out.mkdir(exist_ok=True)
+    root = next((p for p in here.parents if (p / "setup.py").exists()), Path.cwd())
+    out = root / "benchmark_results"
+    out.mkdir(parents=True, exist_ok=True)
     return out
 
 

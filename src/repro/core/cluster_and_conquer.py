@@ -1,8 +1,9 @@
 """Cluster-and-Conquer (C²) — the paper's main contribution (§II).
 
 Pipeline: FastRandomHash clustering (+ recursive splitting) → parallel
-per-cluster KNN (brute force / Hyrec hybrid, largest-first schedule) →
-bounded-heap merge. Every similarity goes through the provided
+per-cluster KNN (brute force / Hyrec hybrid, largest-first schedule,
+small equal-size clusters brute-forced in batches) → bounded-heap
+merge. Every similarity goes through the provided
 :class:`SimilarityEngine` (GoldFinger by default, exact for the
 Table V ablation).
 """
@@ -15,10 +16,16 @@ import numpy as np
 
 from ..result import BuildResult, track_build
 from ..similarity.engine import SimilarityEngine
-from .clustering import Cluster, cluster_dataset, minhash_cluster_dataset
+from .clustering import cluster_dataset, minhash_cluster_dataset
 from .config import C2Params
 from .hashing import make_hash_family, make_minhash_family
-from .local_knn import solve_cluster
+from .local_knn import (
+    ClusterBatch,
+    PartialKNN,
+    batch_clusters,
+    brute_force_batch,
+    solve_cluster,
+)
 from .merge import merge_partials
 from .scheduler import run_clusters
 
@@ -65,23 +72,34 @@ def cluster_and_conquer(
         # -- Step 2: scheduled local KNN computations -------------------
         t0 = time.perf_counter()
 
-        def solve(cluster: Cluster):
-            return solve_cluster(
-                engine,
-                cluster.users,
-                params.k,
-                rho=params.rho,
-                delta=params.delta,
-                max_iterations=params.max_iterations,
-                seed=params.seed + cluster.config,
-            )
+        def solve(batch: ClusterBatch) -> list[PartialKNN]:
+            if len(batch.clusters) > 1:
+                users = np.stack([cluster.users for cluster in batch.clusters])
+                return brute_force_batch(engine, users, params.k)
+            cluster = batch.clusters[0]
+            return [
+                solve_cluster(
+                    engine,
+                    cluster.users,
+                    params.k,
+                    rho=params.rho,
+                    delta=params.delta,
+                    max_iterations=params.max_iterations,
+                    seed=params.seed + cluster.config,
+                )
+            ]
 
-        partials = run_clusters(
-            clustering.clusters,
+        batches = batch_clusters(clustering.clusters, params.k, params.rho)
+        solved = run_clusters(
+            batches,
             solve,
             n_workers=params.n_workers,
             order=params.schedule,
         )
+        partials: list[PartialKNN] = [None] * len(clustering.clusters)  # type: ignore[list-item]
+        for batch, result in zip(batches, solved):
+            for pos, partial in zip(batch.positions, result):
+                partials[pos] = partial
         t_local = time.perf_counter() - t0
 
         # -- Step 3: merge ----------------------------------------------

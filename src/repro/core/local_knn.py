@@ -10,13 +10,26 @@ Force which tends to deliver better sub-KNNs than Hyrec".
 
 from __future__ import annotations
 
+from dataclasses import dataclass
+from typing import Sequence
+
 import numpy as np
 
 from ..graph.heap import EMPTY
 from ..graph.knn_graph import KNNGraph, random_graph
 from ..similarity.engine import SimilarityEngine
+from .clustering import Cluster
 
-__all__ = ["PartialKNN", "solve_cluster", "brute_force_local", "hyrec_graph", "hyrec_local"]
+__all__ = [
+    "PartialKNN",
+    "solve_cluster",
+    "brute_force_local",
+    "brute_force_batch",
+    "ClusterBatch",
+    "batch_clusters",
+    "hyrec_graph",
+    "hyrec_local",
+]
 
 _ROW_BLOCK = 512
 # Hyrec's reverse (symmetric) updates are buffered and applied in
@@ -45,17 +58,18 @@ class PartialKNN:
 def brute_force_local(engine: SimilarityEngine, users: np.ndarray, k: int) -> PartialKNN:
     """Exact local KNN: all ``|C|(|C|-1)/2`` pairs within the cluster.
 
-    Row-blocked so memory stays ``O(block * |C|)`` even for the large
-    unsplit buckets the LSH baseline produces. The engine is charged
-    the analytic pair count once.
+    Clusters of up to ``_ROW_BLOCK`` users are one
+    :func:`brute_force_batch`. Larger ones are row-blocked so memory
+    stays ``O(block * |C|)`` even for the large unsplit buckets the LSH
+    baseline produces. The engine is charged the analytic pair count
+    once.
     """
     users = np.asarray(users, dtype=np.int64)
     c = users.size
+    if c <= _ROW_BLOCK:
+        return brute_force_batch(engine, users[None, :], k)[0]
     ids = np.full((c, k), EMPTY, dtype=np.int32)
     scores = np.full((c, k), -np.inf, dtype=np.float64)
-    if c < 2:
-        return PartialKNN(users, ids, scores)
-
     engine.charge(c * (c - 1) // 2)
     take = min(k, c - 1)
     for start in range(0, c, _ROW_BLOCK):
@@ -65,10 +79,79 @@ def brute_force_local(engine: SimilarityEngine, users: np.ndarray, k: int) -> Pa
         rows = np.arange(start, stop)
         block[rows - start, rows] = -np.inf
         top = np.argpartition(-block, take - 1, axis=1)[:, :take]
-        rows_local = np.arange(stop - start)[:, None]
         ids[start:stop, :take] = users[top].astype(np.int32)
-        scores[start:stop, :take] = block[rows_local, top]
+        scores[start:stop, :take] = np.take_along_axis(block, top, axis=1)
     return PartialKNN(users, ids, scores)
+
+
+def brute_force_batch(engine: SimilarityEngine, groups: np.ndarray, k: int) -> list[PartialKNN]:
+    """:func:`brute_force_local` of ``G`` equal-size clusters at once.
+
+    ``groups`` has shape ``(G, c)``, one cluster per row. The clusters
+    are scored by one :meth:`SimilarityEngine.matrices` call and their
+    top-``k`` rows selected by one ``argpartition``, so a batch costs a
+    handful of numpy calls however many clusters it holds. Each
+    cluster's rows are the same arrays a lone solve would select from,
+    so the result is identical to solving the clusters one by one.
+    """
+    groups = np.asarray(groups, dtype=np.int64)
+    g, c = groups.shape
+    ids = np.full((g, c, k), EMPTY, dtype=np.int32)
+    scores = np.full((g, c, k), -np.inf, dtype=np.float64)
+    if c >= 2:
+        block = engine.matrices(groups)
+        diag = np.arange(c)
+        block[:, diag, diag] = -np.inf
+        take = min(k, c - 1)
+        top = np.argpartition(-block, take - 1, axis=-1)[..., :take]
+        ids[..., :take] = np.take_along_axis(groups[:, None, :], top, axis=-1)
+        scores[..., :take] = np.take_along_axis(block, top, axis=-1)
+    return [PartialKNN(users, ids[pos], scores[pos]) for pos, users in enumerate(groups)]
+
+
+@dataclass(frozen=True)
+class ClusterBatch:
+    """One work item of step 2: clusters of equal size solved together.
+
+    ``positions`` index the members in the clustering's cluster list.
+    ``size`` is each member's size, so the largest-first schedule
+    orders batches as it ordered their clusters.
+    """
+
+    positions: tuple[int, ...]
+    clusters: tuple[Cluster, ...]
+
+    @property
+    def size(self) -> int:
+        """Number of users in each member cluster."""
+        return self.clusters[0].size
+
+
+def batch_clusters(clusters: Sequence[Cluster], k: int, rho: int = 5) -> list[ClusterBatch]:
+    """Group clusters into step-2 work items, ordered by first member.
+
+    Brute-forced clusters (``|C| < ρ k²``) of up to ``_ROW_BLOCK``
+    users that share a size are stacked for :func:`brute_force_batch`,
+    at most ``_ROW_BLOCK`` users per batch (the rows one block of the
+    row-blocked path holds). Every other cluster is a batch of one. A
+    C² build has thousands of tiny clusters: solved one by one, their
+    per-call overhead holds the GIL and keeps the thread pool from
+    running in parallel.
+    """
+    stacked: dict[int, list[int]] = {}
+    groups: list[list[int]] = []
+    for pos, cluster in enumerate(clusters):
+        if cluster.size <= _ROW_BLOCK and cluster.size < rho * k * k:
+            stacked.setdefault(cluster.size, []).append(pos)
+        else:
+            groups.append([pos])
+    for size, positions in stacked.items():
+        step = max(1, _ROW_BLOCK // max(1, size))
+        groups.extend(positions[i : i + step] for i in range(0, len(positions), step))
+    groups.sort(key=lambda group: group[0])
+    return [
+        ClusterBatch(tuple(group), tuple(clusters[pos] for pos in group)) for group in groups
+    ]
 
 
 def hyrec_graph(

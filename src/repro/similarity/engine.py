@@ -112,6 +112,24 @@ class SimilarityEngine(ABC):
         self._charge(n * (n - 1) // 2)
         return self._matrix(users)
 
+    def matrices(self, groups: np.ndarray) -> np.ndarray:
+        """Dense pairwise matrices of ``G`` equal-size user groups.
+
+        ``groups`` has shape ``(G, c)``; the result ``(G, c, c)`` holds
+        the block of ``groups[g]`` against itself at ``[g]``. Counted as
+        ``G * c(c-1)/2``, like :meth:`matrix` once per group.
+        """
+        groups = np.asarray(groups, dtype=np.int64)
+        g, c = groups.shape
+        self._charge(g * (c * (c - 1) // 2))
+        return self._matrices(groups)
+
+    def _matrices(self, groups: np.ndarray) -> np.ndarray:
+        out = np.empty((*groups.shape, groups.shape[1]), dtype=np.float64)
+        for pos, users in enumerate(groups):
+            out[pos] = self._block(users, users)
+        return out
+
     # -- out-of-index queries (query-serving subsystem) -----------------
 
     def prepare_query(self, profile) -> object:
@@ -323,6 +341,9 @@ class GoldFingerEngine(SimilarityEngine):
 
     def _block(self, us: np.ndarray, vs: np.ndarray) -> np.ndarray:
         return self.goldfinger.estimate_block(us, vs)
+
+    def _matrices(self, groups: np.ndarray) -> np.ndarray:
+        return self.goldfinger.estimate_stack(groups)
 
 
 class BloomEngine(SimilarityEngine):

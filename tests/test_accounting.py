@@ -56,6 +56,16 @@ class _Audit:
                 return orig_block(us, vs)
 
             engine._block = block
+        # Likewise the stacked kernel: the base one loops over _block.
+        if type(engine)._matrices is not SimilarityEngine._matrices:
+            orig_matrices = engine._matrices
+
+            def matrices(groups):
+                g, c = np.asarray(groups).shape
+                self.pairs += g * c * c
+                return orig_matrices(groups)
+
+            engine._matrices = matrices
 
 
 class TestAnalyticCostModels:

@@ -1,5 +1,7 @@
 """Unit tests for the benchmark harness (repro.bench)."""
 
+from pathlib import Path
+
 import numpy as np
 import pytest
 
@@ -106,3 +108,13 @@ class TestReport:
     def test_format_table_title(self):
         text = format_table([{"A": 1}], title="Table II")
         assert text.startswith("Table II")
+
+    def test_results_dir_is_the_repo_root_not_the_cwd(self, tmp_path, monkeypatch):
+        import repro.bench.report as report
+
+        root = next(p for p in Path(report.__file__).resolve().parents if (p / "setup.py").exists())
+        want = root / "benchmark_results"
+        assert report.results_dir() == want
+        monkeypatch.chdir(tmp_path)
+        assert report.results_dir() == want
+        assert not (tmp_path / "benchmark_results").exists()

@@ -3,9 +3,10 @@
 import numpy as np
 import pytest
 
-from repro.core import brute_force_local, hyrec_local, solve_cluster
+from repro.core import Cluster, brute_force_local, hyrec_local, solve_cluster
+from repro.core.local_knn import _ROW_BLOCK, batch_clusters, brute_force_batch
 from repro.graph.heap import EMPTY
-from repro.similarity import ExactEngine, jaccard_matrix
+from repro.similarity import ExactEngine, jaccard_matrix, make_engine
 
 
 @pytest.fixture(scope="module")
@@ -127,3 +128,51 @@ class TestSolveCluster:
         solve_cluster(engine, users, k=k, rho=rho)
         # Hyrec cost differs from the brute-force pair count
         assert engine.comparisons != 45 * 44 // 2
+
+
+class TestBruteForceBatch:
+    @pytest.mark.parametrize("backend", ["exact", "goldfinger", "bloom"])
+    def test_stack_equals_lone_solves(self, small_dataset, backend):
+        """Each stacked cluster selects from the same rows a lone solve
+        does, so ids (ties included) and scores are identical."""
+        engine = make_engine(small_dataset, backend=backend, n_bits=256)
+        groups = np.random.default_rng(4).permutation(small_dataset.n_users)[:84].reshape(7, 12)
+        batch = brute_force_batch(engine, groups, k=5)
+        assert engine.comparisons == 7 * (12 * 11 // 2)
+        for users, partial in zip(groups, batch):
+            lone = brute_force_batch(engine, users[None, :], k=5)[0]
+            assert np.array_equal(partial.users, users)
+            assert np.array_equal(partial.ids, lone.ids)
+            assert np.array_equal(partial.scores, lone.scores)
+
+    def test_singletons_have_no_neighbours(self, engine):
+        before = engine.comparisons
+        batch = brute_force_batch(engine, np.array([[3], [4]]), k=2)
+        assert engine.comparisons == before
+        assert all((p.ids == EMPTY).all() for p in batch)
+
+
+class TestBatchClusters:
+    def _clusters(self, sizes):
+        start, out = 0, []
+        for size in sizes:
+            out.append(Cluster(np.arange(start, start + size), config=0, eta=0))
+            start += size
+        return out
+
+    def test_groups_equal_sizes_in_first_member_order(self):
+        sizes = [5, 3, 5, 600, 3, 5, 1, 40]
+        batches = batch_clusters(self._clusters(sizes), k=10, rho=5)
+        assert [b.positions for b in batches] == [(0, 2, 5), (1, 4), (3,), (6,), (7,)]
+        assert [b.size for b in batches] == [5, 3, 600, 1, 40]
+
+    def test_batches_hold_at_most_a_row_block(self):
+        clusters = self._clusters([100] * 12)
+        batches = batch_clusters(clusters, k=10, rho=5)
+        assert all(len(b.clusters) * 100 <= _ROW_BLOCK for b in batches)
+        assert sorted(p for b in batches for p in b.positions) == list(range(12))
+
+    def test_hyrec_clusters_stay_alone(self):
+        """Clusters at or above rho*k^2 go to Hyrec one by one."""
+        batches = batch_clusters(self._clusters([20, 20, 19, 19]), k=2, rho=5)
+        assert [b.positions for b in batches] == [(0,), (1,), (2, 3)]
