@@ -1,4 +1,4 @@
-"""Ablation — largest-first scheduling vs FIFO (DESIGN.md §5).
+"""Ablation — largest-first scheduling vs FIFO (see docs/paper.md).
 
 The paper's Step 2 drains a size-ordered priority queue so big clusters
 cannot straggle at the end of the parallel phase. The effect on wall

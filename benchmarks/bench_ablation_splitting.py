@@ -1,4 +1,4 @@
-"""Ablation — recursive splitting on/off (DESIGN.md §5).
+"""Ablation — recursive splitting on/off (see docs/paper.md).
 
 Not a paper table, but the design choice Figures 3/7/8 motivate: with
 splitting disabled, the popularity skew of MovieLens-like datasets

@@ -6,7 +6,7 @@ of [39] (reproduced as an assertion): dropping the *most popular* items
 first preserves KNN quality far better than dropping niche items, while
 both cut similarity-evaluation cost the same way.
 
-Deviation note (see EXPERIMENTS.md): on the synthetic stand-ins the
+Deviation note (see docs/paper.md): on the synthetic stand-ins the
 popularity *tail* is pure noise (items drawn once from a 100k+-item
 Zipf tail) while community-pool items sit in the popularity mid-range,
 so "keep the least popular" keeps noise and the [39] ordering inverts.

@@ -9,7 +9,6 @@ ml10M.
 
 from __future__ import annotations
 
-import numpy as np
 import pytest
 
 from repro.bench import bench_scale, emit, scale_split_threshold
@@ -65,7 +64,7 @@ def test_fig8_biggest_clusters(benchmark, dataset_name):
         # stops mattering once N exceeds the biggest raw cluster.
         # (At bench scale communities keep their absolute size, so AM's
         # relative raw-cluster fraction is inflated vs the paper's
-        # full-size 1.7% — see EXPERIMENTS.md.)
+        # full-size 1.7% — see docs/paper.md.)
         assert biggest[7500] == biggest[10000]
         ml = get_dataset("ml10M")
         ml_params = get_workload("ml10M").c2_params

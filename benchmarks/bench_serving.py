@@ -30,15 +30,7 @@ the first query after every mutation + full cache clears), plus the
 GoldFinger recall gap with and without ``rerank="exact"``. Acceptance
 (full run, 5k users): per-mutation reverse-maintenance cost ≥ 5× lower
 than the rebuild path, recall@10 ≥ 0.9 after the write tape, and exact
-re-ranking within 1 point of an exact-backend walk. ``--shards N``
-serves batches through a ``QueryEngine(shards=N)``.
-
-``--replicas N`` serves through N per-shard replica indexes converging
-by shipped journal deltas; combined with ``--mixed`` it runs the
-replica-tier benchmark (see ``run_replicas``) whose acceptance gate
-(full run, 5k users, 4 replicas) demands delta-only convergence with
-zero resyncs, recall@10 ≥ 0.9 through the replicas after the churn,
-and ≥ 1.5× the throughput of the serial single engine.
+re-ranking within 1 point of an exact-backend walk.
 
 ``--scenario <name>`` runs the drift benchmark (see ``run_scenario``):
 one scenario from the adversarial/time-evolving suite
@@ -72,11 +64,8 @@ tracer disabled (``metrics_overhead_pct``, gated at ≤ 5%).
 from __future__ import annotations
 
 import argparse
-import os
-import queue
 import sys
 import tempfile
-import threading
 import time
 
 import numpy as np
@@ -101,7 +90,6 @@ from repro.serve import (
     QueryEngine,
     brute_force_top_k,
 )
-from repro.similarity import make_engine
 
 
 def build_workload(n_users: int, n_queries: int, seed: int):
@@ -161,242 +149,6 @@ def _mutate(index: OnlineIndex, kind: str, rng: np.random.Generator) -> int:
 
 def _walk_params(args, budget: int) -> dict:
     return dict(ef=args.ef, per_config=args.per_config, budget=budget)
-
-
-def run_replicas(args) -> int:
-    """The replica-tier benchmark: one mixed tape, three serving tiers.
-
-    The same deterministic 90/10 op tape is served three ways:
-
-    1. **single engine, serial** — one ``QueryEngine``, reads and
-       writes strictly interleaved;
-    2. **shared-index shards, concurrent** — ``QueryEngine(shards=N)``
-       without replicas: N reader threads walk one shared graph under
-       the index RWLock while the writer mutates;
-    3. **replica tier, concurrent** — ``--replicas N`` per-shard
-       replica indexes converging by shipped journal deltas; readers
-       never touch the primary's lock.
-
-    Afterwards the replica tier must have converged purely by deltas
-    (``resyncs == 0``), answer held-out queries at recall@k ≥ 0.9
-    against brute force on the churned index, and beat the serial
-    engine by ≥ 1.5× — a multi-core win: thread concurrency is pure
-    overhead on a single-core host, so the run reports core count
-    alongside.
-    """
-    n_users = args.users or (400 if args.smoke else 5000)
-    n_queries = args.queries or (40 if args.smoke else 300)
-    n_ops = args.ops or (120 if args.smoke else 2000)
-    n_replicas = args.replicas
-    dataset, queries = build_workload(n_users, n_queries, args.seed)
-    params = _bench_params(n_users)
-    budget = max(6 * args.ef, int(args.budget_fraction * n_users))
-    kwargs = _walk_params(args, budget)
-    workload = MixedWorkload(n_ops=n_ops, seed=args.seed)
-    kinds = workload.kinds()
-    # The tape reads from the first half; the recall probe uses the
-    # disjoint second half so no answer comes from the front-end cache.
-    pool = queries[: max(1, len(queries) // 2)]
-    sample = queries[len(queries) // 2 :][: (20 if args.smoke else 150)]
-
-    def fresh_index():
-        index = OnlineIndex.build(dataset, params=params, backend=args.backend)
-        index.reverse_index()  # maintained from the first write on
-        return index
-
-    def drive_serial(make_engine):
-        """The tape on one engine, one thread."""
-        index = fresh_index()
-        engine = make_engine(index)
-        rng_q = np.random.default_rng(args.seed + 17)
-        rng_m = np.random.default_rng(args.seed + 31)
-        t0 = time.perf_counter()
-        for kind in kinds:
-            if kind == "query":
-                engine.search(pool[int(rng_q.integers(0, len(pool)))])
-            else:
-                _mutate(index, kind, rng_m)
-        wall = time.perf_counter() - t0
-        stats = engine.stats()
-        engine.close()
-        return index, engine, wall, stats
-
-    def drive_concurrent(make_engine):
-        """Same tape, open-loop: writer thread + N reader workers.
-
-        The queue is bounded so the writer cannot race arbitrarily far
-        ahead — mutations stay interleaved with the reads around them,
-        which is the write-storm scenario the tier exists for.
-        """
-        index = fresh_index()
-        engine = make_engine(index)
-        jobs: queue.Queue = queue.Queue(maxsize=4 * n_replicas)
-        done = object()
-        errors: list[BaseException] = []
-
-        def reader():
-            try:
-                while True:
-                    profile = jobs.get()
-                    if profile is done:
-                        return
-                    engine.search(profile)
-            except BaseException as exc:  # pragma: no cover - failure path
-                errors.append(exc)
-
-        threads = [
-            threading.Thread(target=reader) for _ in range(n_replicas)
-        ]
-        rng_q = np.random.default_rng(args.seed + 17)
-        rng_m = np.random.default_rng(args.seed + 31)
-        t0 = time.perf_counter()
-        for t in threads:
-            t.start()
-        for kind in kinds:
-            if kind == "query":
-                jobs.put(pool[int(rng_q.integers(0, len(pool)))])
-            else:
-                _mutate(index, kind, rng_m)
-        for _ in threads:
-            jobs.put(done)
-        for t in threads:
-            t.join()
-        wall = time.perf_counter() - t0
-        if errors:
-            raise errors[0]
-        stats = engine.stats()
-        return index, engine, wall, stats
-
-    _, _, wall_serial, stats_serial = drive_serial(
-        lambda index: QueryEngine(
-            index, k=args.topk, invalidation="partial",
-            searcher=GraphSearcher(index, **kwargs),
-        )
-    )
-    _, shared_engine, wall_shared, stats_shared = drive_concurrent(
-        lambda index: QueryEngine(
-            index, k=args.topk, invalidation="partial",
-            searcher=GraphSearcher(index, **kwargs), shards=n_replicas,
-        )
-    )
-    shared_engine.close()
-    index_rep, engine_rep, wall_rep, stats_rep = drive_concurrent(
-        lambda index: QueryEngine(
-            index, k=args.topk, invalidation="partial",
-            searcher=GraphSearcher(index, **kwargs), shards=n_replicas,
-            replicas=True,
-        )
-    )
-
-    # Post-tape repair: departures left rows one edge short (the lazy
-    # refill contract) — a production tier runs the repairs off-peak.
-    # Each refill is itself a mutation whose deltas ship to the
-    # replicas, so the repair exercises the tier's write path too.
-    n_repaired = 0
-    for user in list(index_rep.degraded):
-        index_rep.refill(user)
-        n_repaired += 1
-
-    # Post-tape correctness: the tier converged by deltas alone (zero
-    # resyncs), and held-out queries through the replicas
-    # match brute force on the churned primary at serving recall.
-    replica_set = engine_rep.replica_set
-    converged = replica_set.converged()
-    tier_stats = replica_set.stats()
-    resyncs = tier_stats["resyncs_total"]  # repair deltas included
-    shipped = tier_stats["deltas_shipped_total"]
-    recalls = []
-    served = engine_rep.search_many(sample, k=args.topk)
-    for profile, result in zip(sample, served):
-        truth = brute_force_top_k(index_rep.engine, profile, k=args.topk)
-        recalls.append(float(np.isin(truth.ids, result.ids).mean()))
-    recall = float(np.mean(recalls))
-    # The aggregated tier dashboard (recall probe included): what the
-    # replicas' own engines spent serving, per replica and in total.
-    tier_serving = replica_set.stats()["serving"]
-    engine_rep.close()
-
-    def tier_row(label, wall, stats):
-        reads = stats["queries_total"]
-        return {
-            "Series": label,
-            "Ops/s": f"{n_ops / wall:.0f}",
-            "Read QPS": f"{reads / wall:.0f}",
-            "Cache hit rate": f"{stats['cache_hits_total'] / max(1, reads):.1%}",
-            "Walks": stats["cache_misses_total"],
-        }
-
-    rows = [
-        tier_row(
-            f"replica tier ({n_replicas}x thread)",
-            wall_rep, stats_rep,
-        ),
-        tier_row(
-            f"shared-index shards ({n_replicas} threads)", wall_shared,
-            stats_shared,
-        ),
-        tier_row("single engine (serial tape)", wall_serial, stats_serial),
-    ]
-    conv_rows = [{
-        "Deltas shipped": shipped,
-        "Resyncs": resyncs,
-        "Rows repaired": n_repaired,
-        "Replica lag": stats_rep["replica_lag"],
-        "Converged (edge digests)": "yes" if converged else "NO",
-        f"Recall@{args.topk} after churn": f"{recall:.3f}",
-        "Tier evals (aggregated)": tier_serving["evaluations"],
-    }]
-    n_writes = sum(1 for kind in kinds if kind != "query")
-    n_cores = len(os.sched_getaffinity(0)) if hasattr(os, "sched_getaffinity") else os.cpu_count()
-    header = (
-        f"Replica tier: {n_ops}-op mixed tape ({n_writes} writes) over "
-        f"{n_users} users, {n_replicas} replicas "
-        f"(thread, k={args.topk}, "
-        f"ef={args.ef}, budget={budget}, {n_cores} cores); recall sample "
-        f"{len(sample)} held-out queries after the churn"
-    )
-    speedup = wall_serial / wall_rep
-    blocks = [header, rows, conv_rows]
-    metrics = {
-        "mode": "replicas",
-        "n_users": n_users,
-        "n_ops": n_ops,
-        "n_cores": int(n_cores),
-        "replicas": n_replicas,
-        "ops_s_serial": round(n_ops / wall_serial, 1),
-        "ops_s_shared": round(n_ops / wall_shared, 1),
-        "ops_s_replicas": round(n_ops / wall_rep, 1),
-        "speedup_vs_single_shard": round(speedup, 2),
-        "deltas_shipped": shipped,
-        "resyncs": resyncs,
-        "converged": bool(converged),
-        f"recall_at_{args.topk}": round(recall, 3),
-        "tier_queries": tier_serving["queries"],
-        "tier_evaluations": tier_serving["evaluations"],
-        "tier_hops": tier_serving["hops"],
-        "tier_evaluations_per_replica": [
-            c["evaluations"] for c in tier_serving["per_replica"]
-        ],
-    }
-
-    if args.smoke:
-        blocks.append("acceptance: not evaluated (--smoke run)")
-        metrics["acceptance"] = None
-        emit("serving-replicas-smoke", *blocks)
-        emit_json("serving-replicas-smoke", metrics)
-        return 0
-
-    ok = converged and resyncs == 0 and recall >= 0.9 and speedup >= 1.5
-    blocks.append(
-        f"acceptance: converged={converged} with {resyncs} resyncs (=0), "
-        f"recall@{args.topk}={recall:.3f} (>=0.9), "
-        f"throughput {speedup:.2f}x the serial single engine (>=1.5x, "
-        f"{n_cores} cores) -> {'PASS' if ok else 'FAIL'}"
-    )
-    metrics["acceptance"] = bool(ok)
-    emit("serving-replicas", *blocks)
-    emit_json("serving-replicas", metrics)
-    return 0 if ok else 1
 
 
 def run_scenario(args) -> int:
@@ -817,7 +569,7 @@ def run_mixed(args) -> int:
             index.reverse_index()  # prime: maintained from the first write on
             engine = QueryEngine(
                 index, k=args.topk, invalidation="partial",
-                searcher=GraphSearcher(index, **kwargs), shards=args.shards,
+                searcher=GraphSearcher(index, **kwargs),
             )
         else:
             engine = QueryEngine(
@@ -982,7 +734,7 @@ def run_mixed(args) -> int:
     header = (
         f"Mixed workload: {n_ops} ops ({workload.read_fraction:.0%} reads, "
         f"{n_writes} writes) over {n_users} users "
-        f"(k={args.topk}, ef={args.ef}, budget={budget}, shards={args.shards}); "
+        f"(k={args.topk}, ef={args.ef}, budget={budget}); "
         f"{n_probe} probe mutations; recall sample {len(sample)} queries "
         f"after the same write churn"
     )
@@ -991,7 +743,6 @@ def run_mixed(args) -> int:
         "mode": "mixed",
         "n_users": n_users,
         "n_ops": n_ops,
-        "shards": args.shards,
         "ops_s_incremental": round(n_ops / wall_inc, 1),
         "ops_s_rebuild": round(n_ops / wall_reb, 1),
         "metrics_overhead_pct": round(overhead_pct, 2),
@@ -1060,12 +811,6 @@ def main(argv=None) -> int:
                         help="mixed mode: operations in the 90/10 tape")
     parser.add_argument("--mutations", type=int, default=None,
                         help="mixed mode: probe mutations for the cost table")
-    parser.add_argument("--shards", type=int, default=1,
-                        help="spread each batch's cache misses over N walk threads")
-    parser.add_argument("--replicas", type=int, default=0,
-                        help="serve through N per-shard replica indexes fed by "
-                             "journal-delta shipping (with --mixed: the "
-                             "replica-tier throughput/convergence benchmark)")
     parser.add_argument("--topk", type=int, default=10)
     parser.add_argument("--ef", type=int, default=32)
     parser.add_argument("--per-config", type=int, default=16)
@@ -1080,8 +825,6 @@ def main(argv=None) -> int:
         return run_scenario(args)
     if args.restart:
         return run_restart(args)
-    if args.mixed and args.replicas > 0:
-        return run_replicas(args)
     if args.mixed:
         return run_mixed(args)
 
@@ -1115,10 +858,8 @@ def main(argv=None) -> int:
 
     # --- batched QPS: cold (all unique) and warm (repeats) ------------
     def front_end(cache_size: int):
-        replicas = args.replicas > 0
         return QueryEngine(
-            index, k=args.topk, searcher=searcher, cache_size=cache_size,
-            shards=args.replicas if replicas else args.shards, replicas=replicas,
+            index, k=args.topk, searcher=searcher, cache_size=cache_size
         )
 
     engine_cold = front_end(cache_size=0)
@@ -1177,10 +918,7 @@ def main(argv=None) -> int:
     )
     blocks = [header, rows]
     metrics = {
-        "mode": (
-            "replicas" if args.replicas > 0
-            else "sharded" if args.shards > 1 else "single"
-        ),
+        "mode": "single",
         "n_users": n_users,
         "n_queries": n_queries,
         f"recall_at_{args.topk}": round(recall, 3),

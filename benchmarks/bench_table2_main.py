@@ -6,9 +6,11 @@ time, similarity-computation counts (the hardware-independent cost the
 paper's analysis is based on) and quality vs the exact graph, next to
 the paper's published times/qualities.
 
-Expected shape (asserted): C² needs the fewest similarity computations
-on every dataset and quality stays within a small margin of the best
-baseline.
+Expected shape (asserted): on every dataset C² needs fewer similarity
+computations and less wall time than Hyrec and NN-Descent, and its
+quality stays within 0.12 of the best baseline. C²'s position against
+LSH is reported, not asserted: here LSH often needs fewer similarity
+computations (see docs/paper.md).
 """
 
 from __future__ import annotations
@@ -86,6 +88,6 @@ def test_table2_dataset(benchmark, dataset_name):
     # ... and quality is within a small margin of the best baseline.
     # (LSH's relative position is reported, not asserted: our vectorised
     # LSH is stronger relative to C2 than the paper's Java LSH on the
-    # smallest sparse stand-ins — see EXPERIMENTS.md.)
+    # smallest sparse stand-ins — see docs/paper.md.)
     best_quality = max(r.quality for r in baselines)
     assert runs["C2"].quality > best_quality - 0.12

@@ -64,7 +64,7 @@ def test_table4_fastrandomhash(benchmark, dataset_name):
     # fewer similarity computations (the paper's decisive result). On
     # the synthetic AM stand-in the popularity tail is flatter than the
     # real dataset's, so MinHash buckets stay small and the gap narrows
-    # (see EXPERIMENTS.md); there we assert comparability, not victory.
+    # (see docs/paper.md); there we assert comparability, not victory.
     if dataset_name == "ml10M":
         assert frh.comparisons < minhash.comparisons
     else:

@@ -14,9 +14,8 @@ Floor semantics, per ``{run: {metric: floor}}`` entry:
   a boolean, floor ``true`` means "must be true");
 * metrics whose name contains ``resyncs``, ``reforks``, ``resplits``
   or ``rebuilds`` are hard **ceilings** — the measured value must be
-  ``<= floor`` (the replica tier's zero-re-fork contract and the
-  scenario suite's bounded-resplit / no-rebuild contract, enforced on
-  every CI run);
+  ``<= floor`` (the scenario suite's bounded-resplit / no-rebuild
+  contract, enforced on every CI run);
 * metrics whose name contains ``overhead`` are hard ceilings too —
   the telemetry layer's ≤-5% instrumentation-cost contract gets no
   slack (the benchmark already takes min-of-reps, so noise cancels);

@@ -1,7 +1,7 @@
 """Derived views: build a secondary index as a delta-pipeline consumer.
 
 Everything downstream of an ``OnlineIndex`` — reverse adjacency, cache
-invalidation, replicas, the WAL, the metrics exporter — is a *derived
+invalidation, the WAL, the metrics exporter — is a *derived
 collection* over the mutation journal, written once as a
 ``repro.deltas.DerivedView`` and registered on ``index.deltas``. This
 walkthrough writes a brand-new one from scratch: a toy **item → users**

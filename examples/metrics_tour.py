@@ -4,11 +4,12 @@ Builds a small synthetic index with every telemetry surface attached —
 the process-wide :class:`~repro.obs.MetricsRegistry`, the per-query
 :class:`~repro.obs.Tracer` and a :class:`~repro.obs.JournalMetrics`
 exporter consuming the mutation journal — then drives a mixed
-query/mutation tape through a ``QueryEngine`` with a thread-replica
-tier shipping behind it. Along the way it prints:
+query/mutation tape through a ``QueryEngine`` with a write-ahead log
+(:class:`~repro.persist.DurableIndex`) persisting behind it. Along the
+way it prints:
 
 1. a live registry snapshot (stage latencies, cache traffic, journal
-   rates) mid-tape;
+   rates, the WAL's consumer lag) mid-tape;
 2. the drift between two snapshots — counters are cumulative, so the
    delta is the last window's traffic;
 3. a re-split caught in the act: how many cached answers the split
@@ -22,13 +23,16 @@ Run:  PYTHONPATH=src python examples/metrics_tour.py
 
 from __future__ import annotations
 
+import tempfile
+
 import numpy as np
 
 from repro import C2Params, obs
 from repro.data import SyntheticSpec, generate
 from repro.obs import JournalMetrics, format_span
 from repro.online import OnlineIndex
-from repro.serve import QueryEngine, ReplicaSet
+from repro.persist import DurableIndex
+from repro.serve import QueryEngine
 
 K = 10
 N_STEPS = 240
@@ -70,8 +74,10 @@ def main() -> None:
 
     journal = JournalMetrics(index, window_s=300.0)
     engine = QueryEngine(index, k=K, invalidation="partial")
-    replicas = ReplicaSet(index, 2)
-    journal.attach_lag("replicas", replicas.lag)
+    wal_dir = tempfile.TemporaryDirectory()
+    durable = DurableIndex(index, wal_dir.name, background_checkpoints=False)
+    # The WAL's seq cursor becomes the journal_lag{consumer="wal"} gauge.
+    journal.attach_lag("wal", durable.lag)
     print(f"index built over {dataset}; telemetry attached to every layer")
 
     rng = np.random.default_rng(13)
@@ -84,7 +90,7 @@ def main() -> None:
 
     hits_key = 'cache_hits_total{frontend="engine"}'
     misses_key = 'cache_misses_total{frontend="engine"}'
-    lag_key = 'journal_lag{consumer="replicas"}'
+    lag_key = 'journal_lag{consumer="wal"}'
 
     # 2. Half the tape, then a live snapshot.
     drive(N_STEPS // 2)
@@ -102,7 +108,7 @@ def main() -> None:
          f"{mid[hits_key]:.0f} / {mid[misses_key]:.0f}"),
         ("journal mutation rate (events/s)",
          f"{snap['gauges']['journal_mutation_rate']:.1f}"),
-        ("replica lag (versions)", f"{snap['gauges'][lag_key]:.0f}"),
+        ("WAL journal lag (versions)", f"{snap['gauges'][lag_key]:.0f}"),
     ])
 
     # 3. The rest of the tape; counters are cumulative, so the delta
@@ -141,7 +147,8 @@ def main() -> None:
     print(f"  ... {len(lines)} lines total "
           "(python -m repro metrics-dump --format prometheus)")
 
-    replicas.close()
+    durable.close()
+    wal_dir.cleanup()
     engine.close()
     journal.close()
 

@@ -1,6 +1,6 @@
 """A small readers-writer lock (no intra-package dependencies).
 
-The serving subsystem lets multiple shard workers walk the graph while
+The serving subsystem lets several caller threads walk the graph while
 an :class:`~repro.online.OnlineIndex` takes mutations from another
 thread. Walks only read; mutations patch numpy rows in place, so a walk
 observing a half-applied mutation could follow garbage edges. The

@@ -81,7 +81,7 @@ def emit_json(run: str, metrics: dict, benchmark: str = "serving") -> Path:
     file as an artifact and a perf gate can diff it against committed
     floors — text reports are for humans, this file is for tooling.
     Read-modify-write: several invocations (``--smoke``, ``--mixed``,
-    ``--replicas``) accumulate into one file. Returns the path
+    ``--restart``) accumulate into one file. Returns the path
     (repository root, next to the committed full-run copy).
     """
     path = results_dir().parent / f"BENCH_{benchmark}.json"

@@ -38,7 +38,7 @@ drives all of this end to end.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
+from dataclasses import dataclass
 from typing import ClassVar, Iterator
 
 import numpy as np
@@ -198,8 +198,8 @@ class IndexWorld(World):
     """Executes scenario ops against a live ``OnlineIndex``.
 
     Queries go through ``engine.search`` when an engine (any object
-    with a ``search(profile)`` method — :class:`~repro.serve.QueryEngine`
-    or a sharded front end) is attached, and are skipped otherwise
+    with a ``search(profile)`` method, e.g.
+    :class:`~repro.serve.QueryEngine`) is attached, and are skipped otherwise
     (mutation-only replays, e.g. the property tests).
     """
 

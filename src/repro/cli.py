@@ -18,7 +18,7 @@ Commands:
   ``--metrics`` appends the live telemetry dashboard (registry
   snapshot + slowest trace).
 * ``metrics-dump`` — exercise every serving layer (index mutations,
-  engine cache, replica shipping, WAL, journal consumer) on a small
+  engine cache, WAL, journal consumer) on a small
   workload, then dump the unified metrics registry as a table,
   Prometheus text exposition or JSON.
 
@@ -227,15 +227,7 @@ def _cmd_serve_demo(args) -> int:
             durable = index.attach_persistence(args.wal_dir)
     rerank = None if args.rerank == "none" else args.rerank
     searcher = GraphSearcher(index, ef=args.ef, budget=args.budget, rerank=rerank)
-    replicas = args.replicas > 0
-    queries = QueryEngine(
-        index, k=args.topk, searcher=searcher,
-        shards=args.replicas if replicas else args.shards, replicas=replicas,
-        # With persistence attached, replicas bootstrap from the
-        # on-disk snapshot + WAL tail instead of pickling the primary
-        # under its read lock.
-        hydrate=durable.hydrate if replicas and durable is not None else None,
-    )
+    queries = QueryEngine(index, k=args.topk, searcher=searcher)
 
     # Out-of-sample query profiles: partial histories of real users (a
     # visitor who rated a subset of what an indexed user rated), drawn
@@ -285,38 +277,6 @@ def _cmd_serve_demo(args) -> int:
             ),
         )
     )
-    if replicas:
-        # The tier dashboard: what the replicated read path spent, per
-        # replica and in total, in the same counted-similarity currency
-        # as builds and updates.
-        serving = stats["replica_serving"]
-        rows = [
-            {
-                "Replica": i,
-                "Queries": c["queries"],
-                "Evaluations": c["evaluations"],
-                "Hops": c["hops"],
-            }
-            for i, c in enumerate(serving["per_replica"])
-        ]
-        rows.append(
-            {
-                "Replica": "total",
-                "Queries": serving["queries"],
-                "Evaluations": serving["evaluations"],
-                "Hops": serving["hops"],
-            }
-        )
-        print(
-            format_table(
-                rows,
-                title=(
-                    f"replica tier dashboard ({stats['deltas_shipped_total']} deltas "
-                    f"shipped, {stats['resyncs_total']} resyncs, "
-                    f"lag {stats['replica_lag']})"
-                ),
-            )
-        )
     if durable is not None:
         pstats = durable.stats()
         print(
@@ -349,7 +309,6 @@ def _cmd_metrics_dump(args) -> int:
     from .data import SyntheticSpec, generate
     from .obs import JournalMetrics
     from .persist import DurableIndex
-    from .serve import ReplicaSet
 
     spec = SyntheticSpec(
         name="metricsdump", n_users=args.users, n_items=2 * args.users,
@@ -364,13 +323,10 @@ def _cmd_metrics_dump(args) -> int:
     index = OnlineIndex.build(dataset, params=params)
     journal = JournalMetrics(index)
     engine = QueryEngine(index, k=10)
-    replicas = ReplicaSet(index, 2)
-    journal.attach_lag("replicas", replicas.lag)
     rng = np.random.default_rng(args.seed)
     with tempfile.TemporaryDirectory() as wal_dir:
         durable = DurableIndex(index, wal_dir, background_checkpoints=False)
-        # WAL consumer lag rides the same journal_lag gauge family as
-        # the replica tier — the dump shows every consumer's cursor.
+        # The WAL's consumer cursor becomes a journal_lag gauge.
         journal.attach_lag("wal", durable.lag)
         pool = [
             dataset.profile(int(rng.integers(0, dataset.n_users)))
@@ -389,7 +345,6 @@ def _cmd_metrics_dump(args) -> int:
         durable.checkpoint()
         journal.collect()
         durable.close()
-    replicas.close()
     engine.close()
     journal.close()
     registry = obs.metrics()
@@ -454,16 +409,10 @@ def _build_parser() -> argparse.ArgumentParser:
     p.add_argument("--ef", type=int, default=32)
     p.add_argument("--budget", type=int, default=None,
                    help="hard cap on similarity evaluations per query")
-    p.add_argument("--shards", type=int, default=1,
-                   help="spread each batch's cache misses over N walk threads")
-    p.add_argument("--replicas", type=int, default=0,
-                   help="serve through N per-shard replica indexes fed by "
-                        "journal-delta shipping (overrides --shards)")
     p.add_argument("--rerank", default="none", choices=["none", "exact"],
                    help="re-score the walk's final frontier with exact similarities")
     p.add_argument("--wal-dir",
-                   help="persist the index there (snapshot + delta WAL); with "
-                        "--replicas, replicas hydrate from the persisted state")
+                   help="persist the index there (snapshot + delta WAL)")
     p.add_argument("--restore", action="store_true",
                    help="recover the index from --wal-dir (snapshot + WAL tail "
                         "replay) instead of building it")

@@ -12,7 +12,7 @@ but the quoted numbers (margin 0.078, upper 3·0.078 ≈ 0.234,
 probability 0.998) are only consistent with ``d = 1.5`` — with
 ``d = 0.5`` the probability bound evaluates to ≈ 0.58. We therefore
 expose :func:`paper_numeric_example` with ``d = 1.5`` and record the
-discrepancy in EXPERIMENTS.md.
+discrepancy in docs/paper.md.
 """
 
 from __future__ import annotations

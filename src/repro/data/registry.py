@@ -87,7 +87,7 @@ PAPER_SPECS: dict[str, SyntheticSpec] = {
 
 # Default shrink factor applied by ``load``: user counts scale linearly,
 # item counts by sqrt, keeping generation + brute-force ground truth
-# tractable on a laptop (see DESIGN.md §2).
+# tractable on a laptop (see docs/paper.md).
 DEFAULT_SCALE = 0.05
 
 

@@ -3,7 +3,7 @@
 The paper evaluates on MovieLens1M/10M/20M, AmazonMovies, DBLP and
 Gowalla, none of which can be downloaded in this offline environment.
 We substitute generators that reproduce the statistical properties the
-algorithms are sensitive to (see DESIGN.md §2):
+algorithms are sensitive to (see docs/paper.md):
 
 * **Item popularity skew** (Zipf-like). Popular items hashed to low
   values create the oversized FastRandomHash clusters that recursive

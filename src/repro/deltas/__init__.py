@@ -1,15 +1,14 @@
 """Declarative delta pipeline: derived collections over the mutation journal.
 
 The paper's C²-graph stays cheap to maintain online because every
-mutation describes itself as a journaled delta — and by PR 7 the repo
-had six independent consumers of that journal (reverse-adjacency
-maintenance, result-cache invalidation in the query engines, replica
-shipping, the durable WAL, and the journal metrics view), each with its
-own hand-rolled subscribe / replay / seq-cursor / resync logic. This
-package unifies them behind one derived-collection abstraction, after
-the krt framework's "collections derived from collections via
-transformation functions, with the framework owning state and change
-propagation":
+mutation describes itself as a journaled delta. Several consumers
+read that journal (reverse-adjacency maintenance, result-cache
+invalidation in the query engine, the durable WAL, and the journal
+metrics view), and each needs the same subscribe / replay /
+seq-cursor / resync logic. This package puts them behind one
+derived-collection abstraction, after the krt framework's
+"collections derived from collections via transformation functions,
+with the framework owning state and change propagation":
 
 * :class:`Delta` — one journal event, self-describing: seq, event
   kind, mutated user, per-edge structural changes, profile payload,

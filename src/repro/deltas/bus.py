@@ -12,8 +12,8 @@ Cost model: the bus itself is O(views) pointer work per mutation. The
 one genuinely expensive export — annotating journal edges with their
 post-mutation scores into a shippable
 :class:`~repro.online.ReplicaDelta` — is only performed while at least
-one registered view declares ``needs_scored`` (replica shipping, the
-WAL, secondary indexes that read profile payloads).
+one registered view declares ``needs_scored`` (the WAL, secondary
+indexes that read profile payloads).
 """
 
 from __future__ import annotations
@@ -140,7 +140,7 @@ class DeltaBus:
 
     @property
     def needs_scored(self) -> bool:
-        """Whether any registered view wants the scored replica export."""
+        """Whether any registered view wants the scored export."""
         with self._lock:
             return any(v.needs_scored for v in self._views)
 
@@ -155,8 +155,7 @@ class DeltaBus:
         lock), so views observe a consistent post-mutation index and
         run strictly in seq order. A view exception propagates into the
         mutation — a consumer that must never break the write path
-        (the replica tier) contains its own failures and resyncs
-        internally, exactly as before the pipeline.
+        contains its own failures and resyncs internally.
         """
         self.published_total += 1
         for view in self.views():

@@ -2,10 +2,9 @@
 
 A derived view is a collection maintained *from* the mutation journal
 rather than recomputed from the index: the reverse-adjacency in-edge
-sets, a result cache's validity, a replica's entire state, the WAL's
-on-disk suffix, a metrics rollup, a secondary index. Before this
-package each of those re-implemented the same four-part shape by hand;
-:class:`DerivedView` names the shape once:
+sets, a result cache's validity, the WAL's on-disk suffix, a metrics
+rollup, a secondary index. Each of those has the same four-part
+shape; :class:`DerivedView` names it once:
 
 * ``apply(delta)`` — the transformation function: fold one journal
   event into the derived state. O(|delta|), runs inside the mutation.

@@ -23,11 +23,11 @@ EMPTY = -1
 def edge_digest(heaps: NeighborHeaps) -> int:
     """Slot-order-independent fingerprint of a heap table's edge ids.
 
-    Rows are sorted before hashing, so a primary and a replica that
-    hold the same neighbour sets in different slot layouts (or with
-    drifted scores) digest identically. This is the convergence oracle
-    both replica shipping and :meth:`~repro.serve.ReplicaSet.audit`
-    compare in.
+    Rows are sorted before hashing, so a primary and an index rebuilt
+    from its delta stream (a recovered WAL, a clone fed every delta)
+    that hold the same neighbour sets in different slot layouts (or
+    with drifted scores) digest identically. This is the convergence
+    oracle recovery and the replay property tests compare in.
     """
     return zlib.crc32(np.sort(heaps.ids[: heaps.n], axis=1).tobytes())
 
@@ -62,14 +62,14 @@ class NeighborHeaps:
         self.journal: list[tuple[int, int, bool]] | None = None
 
     # ------------------------------------------------------------------
-    # Pickling (snapshot clones: replicas, process shards, persistence)
+    # Pickling (snapshot clones and persisted snapshots)
     # ------------------------------------------------------------------
 
     def __getstate__(self) -> dict:
         # ``ids``/``scores`` are views into the capacity buffers, and
         # numpy pickles a view as an independent copy — a round-trip
         # would silently sever them from ``_ids_buf``/``_scores_buf``.
-        # The next within-capacity grow() then rebinds the views to the
+        # The next within-capacity grow() then re-points the views to the
         # stale buffer, reverting every edge change applied since the
         # unpickle (a corruption the WAL-recovery property tests
         # caught). Ship the occupied prefix once, rebuild on load.
@@ -195,17 +195,18 @@ class NeighborHeaps:
     def apply_edge_deltas(self, edges) -> None:
         """Replay shipped ``(u, v, added, score)`` deltas onto this table.
 
-        The replica-side write path: a primary journals its structural
-        edge changes, ships them (with the post-mutation score looked
-        up per added edge), and the replica replays them here without
+        The replay write path: a primary journals its structural edge
+        changes, exports them (with the post-mutation score looked up
+        per added edge), and a replaying index (WAL recovery) applies
+        them here without
         any capacity-eviction logic of its own — the journal already
         recorded every eviction as an explicit removal, so a free slot
         is guaranteed for every add. Raises ``ValueError`` when the
         guarantee is violated (a gap in the delta stream); callers
         treat that as "resync from a fresh snapshot".
 
-        Replays are journaled like any other structural change, so a
-        replica's own subscribers (reverse adjacency, caches) keep
+        Replays are journaled like any other structural change, so the
+        replaying index's own views (reverse adjacency, caches) keep
         composing.
 
         Hot path: WAL recovery replays every delta since the last
@@ -267,7 +268,7 @@ class NeighborHeaps:
     def edge_sets(self) -> list[set[int]]:
         """Per-row neighbour-id sets (slot-order independent).
 
-        The convergence currency of the replica tier: two tables whose
+        The convergence currency of delta replay: two tables whose
         ``edge_sets`` match serve identical graph walks regardless of
         slot layout or score drift (the searcher scores candidates
         against the query, never from the stored edge scores).
@@ -294,7 +295,7 @@ class NeighborHeaps:
         order otherwise; free slots trail. Returns the ``(r, k)`` table
         of each row's inserted ids, ascending, ``EMPTY``-padded. The
         journal gets each row's removals, then its adds (both by id),
-        so a replica replaying it always has a free slot for an add.
+        so an index replaying it always has a free slot for an add.
         """
         rows = np.asarray(rows, dtype=np.int64)
         k = self.k

@@ -21,7 +21,7 @@ def group_by_value(users: np.ndarray, values: np.ndarray) -> list[tuple[int, np.
     original order of ``users`` is preserved (stable sort). Shared by
     the batch cluster splitter, the online re-split
     (:meth:`repro.online.OnlineIndex._resplit`, which relies on the
-    order guarantee to keep primary and replica member lists
+    order guarantee to keep primary and replayed member lists
     identical), NN-Descent's reverse lists and the C² merge.
     """
     order = np.argsort(values, kind="stable")

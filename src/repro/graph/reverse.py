@@ -112,8 +112,8 @@ class ReverseAdjacency:
         only the *last* recorded flag decides whether ``u`` ends up in
         ``holders(v)`` (add/discard are idempotent), so a drop-and-
         re-add tape touches each set once instead of twice. Used by
-        the journal-fed delta pipeline (every mutation, replica replay
-        and WAL recovery flow through it); :meth:`apply` is retained
+        the journal-fed delta pipeline (every mutation and WAL recovery
+        flow through it); :meth:`apply` is retained
         as the order-faithful per-edge oracle the property tests
         compare against.
         """
@@ -130,11 +130,11 @@ class ReverseAdjacency:
             cache.pop(v, None)
 
     def apply_scored(self, edges) -> None:
-        """Patch in replica-shipped ``(u, v, added, score)`` deltas.
+        """Patch in exported ``(u, v, added, score)`` deltas.
 
-        The scored variant of :meth:`apply` for the delta-shipping
-        tier: scores ride along for the heap replay and are ignored
-        here — the in-edge sets only care about structure.
+        The scored variant of :meth:`apply`: scores ride along for the
+        heap replay and are ignored here — the in-edge sets only care
+        about structure.
         """
         rows = self._in
         cache = self._holders_cache
@@ -146,7 +146,7 @@ class ReverseAdjacency:
             cache.pop(v, None)
 
     def apply_scored_batch(self, edges) -> None:
-        """Batched :meth:`apply_scored` for replica/WAL replay streams.
+        """Batched :meth:`apply_scored` for delta replay streams.
 
         Strips the scores and collapses the per-edge history exactly
         like :meth:`apply_batch` — one set edit per distinct ``(u, v)``

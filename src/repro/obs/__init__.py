@@ -11,8 +11,8 @@ Three pieces, one import:
   metrics collection consuming the mutation journal (mutation rates,
   re-split counts, cluster-size distributions, consumer lag).
 
-Every instrumented component (``GraphSearcher``, the query engines,
-``ReplicaSet``, the WAL, ``OnlineIndex``) takes optional ``registry=``
+Every instrumented component (``GraphSearcher``, the query engine,
+the WAL, ``OnlineIndex``) takes optional ``registry=``
 / ``tracer=`` arguments and defaults to the **process-wide** instances
 returned by :func:`metrics` and :func:`tracer` — so a default stack
 shares one registry and one ``repro metrics-dump`` sees every layer.

@@ -13,9 +13,9 @@ another index but a set of metrics computed from the stream itself.
   sliding window for the mutation rate. O(|edges|) per event, no index
   reads on the hot path.
 * **seq cursor** — the inherited ``seq`` tracks the last journal
-  version folded in (the same currency replicas and the WAL replay
-  by), exported as the ``journal_seq`` gauge; :meth:`collect` turns
-  attached consumer cursors (replica sets, durable logs) into
+  version folded in (the same currency the WAL replays by), exported
+  as the ``journal_seq`` gauge; :meth:`collect` turns attached
+  consumer cursors (durable logs, any view's ``lag``) into
   ``journal_lag`` gauges.
 * **resync recipe** — :meth:`resync` recomputes every derived gauge
   (cluster-size distribution, cluster counts) from the live index
@@ -133,7 +133,6 @@ class JournalMetrics(DerivedView):
 
         ``fn`` is a zero-arg callable returning mutations shipped but
         not yet applied by that consumer (e.g.
-        :meth:`repro.serve.ReplicaSet.lag` or
         :meth:`repro.persist.DurableIndex.lag`), published as the
         ``journal_lag{consumer=...}`` gauge.
         """
@@ -164,8 +163,8 @@ class JournalMetrics(DerivedView):
 
         The consumer's answer to an unshippable event (``rebuild``
         resets cluster ids wholesale): throw the derived state away and
-        rebuild it from the source of truth, exactly like a replica
-        resyncing from a snapshot.
+        rebuild it from the source of truth, exactly like the WAL
+        checkpointing a fresh snapshot.
         """
         stats = self.index.stats()
         with self._lock:

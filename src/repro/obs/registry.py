@@ -1,7 +1,7 @@
 """Low-overhead metrics registry: counters, gauges, bucketed histograms.
 
-The serving stack (index mutations, graph walks, caches, replicas, the
-WAL) needs one place to answer "what is p99 walk latency or cache hit
+The serving stack (index mutations, graph walks, caches, the WAL)
+needs one place to answer "what is p99 walk latency or cache hit
 rate *right now*" without a metrics dependency the container does not
 ship. This module is that place:
 
@@ -15,7 +15,7 @@ ship. This module is that place:
   :meth:`~MetricsRegistry.to_prometheus` (text exposition) and
   :meth:`~MetricsRegistry.to_json` exports.
 
-Thread-safety is per-metric (one small lock each), so two shards
+Thread-safety is per-metric (one small lock each), so two threads
 observing different histograms never contend. A registry created with
 ``enabled=False`` hands out shared null metrics whose methods are
 no-ops — the instrumented hot paths keep their handles and pay one

@@ -17,7 +17,7 @@ Completed **root** spans land in a bounded ring buffer (most recent
 first) and, when their duration crosses ``slow_ms``, in a separate
 slow-query log — the dashboard's "show me one bad query" answer.
 
-The span stack is ``threading.local``, so shard workers trace
+The span stack is ``threading.local``, so caller threads trace
 concurrently without locks on the hot path; only the two bounded
 deques are locked. A disabled tracer yields one shared no-op span —
 the same near-zero-cost contract as the disabled

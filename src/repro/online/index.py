@@ -18,8 +18,8 @@ online** (``auto_resplit``, on by default): the mutation that pushed a
 cluster over the threshold re-partitions it with the same ``H\\eta``
 re-hash the batch splitter uses, registers the children under their
 lineage keys, and publishes the membership changes as a ``resplit``
-event through the standard journal — so ReverseAdjacency, caches,
-replicas and the WAL all stay consistent, and quality survives
+event through the standard journal — so ReverseAdjacency, caches
+and the WAL all stay consistent, and quality survives
 sustained churn without ever paying a full :meth:`OnlineIndex.rebuild`.
 A re-split moves no graph edges and costs **zero similarity
 evaluations** (hashing only); its bookkeeping lands in ``n_resplits`` /
@@ -71,8 +71,8 @@ class StaleReplicaError(RuntimeError):
     Raised by :meth:`OnlineIndex.apply_delta` when the delta stream has
     a gap (the replica missed a mutation) or describes a ``rebuild``
     (which replaces the edge set wholesale, so no per-edge replay can
-    express it). The replica tier reacts by re-cloning the primary and
-    counting a resync.
+    express it). The replaying index must be re-cloned from the
+    primary (or, on recovery, the log is unusable past the gap).
     """
 
 
@@ -151,7 +151,7 @@ class _ReverseView(DerivedView):
         """Patch the in-edge sets from the journal (no-op while unbuilt).
 
         Batched: the journal's per-``(u, v)`` history collapses to its
-        final flag, so replica replay and WAL recovery pay one set
+        final flag, so delta replay and WAL recovery pay one set
         edit per distinct edge (``ReverseAdjacency.apply_batch``).
         """
         rev = self._index._reverse
@@ -233,7 +233,7 @@ class OnlineIndex:
         self.version = 0
         self.lock = RWLock()  # mutations write, serving walks read
         # The delta pipeline: one Delta published per mutation, every
-        # consumer (reverse adjacency, caches, replicas, WAL, metrics)
+        # consumer (reverse adjacency, caches, WAL, metrics)
         # a registered DerivedView.
         self.deltas = DeltaBus(self)
         self.deltas.register(_ReverseView(self))
@@ -313,21 +313,21 @@ class OnlineIndex:
         self.graph.heaps.attach_journal()
         self._reverse = None
         # Cluster-registration watermark for delta export: clusters
-        # appended past this index since the last notify are shipped to
-        # replicas so their routing state replays in lockstep.
+        # appended past this index since the last notify are exported
+        # with the delta so a replay opens the same clusters in lockstep.
         self._n_notified_clusters = len(self._cluster_key)
 
     # ------------------------------------------------------------------
-    # Pickling (clones, replica resyncs and persisted snapshots)
+    # Pickling (clones and persisted snapshots)
     # ------------------------------------------------------------------
 
     def _bind_metrics(self, registry=None) -> None:
         """Cache the per-op mutation latency histogram handles.
 
         Bound at construction and re-bound (to the process-wide
-        registry) on unpickle — replica clones then record their
-        ``apply_delta`` latencies into the registry of whatever
-        process they serve in.
+        registry) on unpickle — clones and recovered indexes then
+        record their ``apply_delta`` latencies into the registry of
+        whatever process they serve in.
         """
         reg = registry if registry is not None else obs.metrics()
         self._mut_hist = {
@@ -468,7 +468,7 @@ class OnlineIndex:
         )
 
     # ------------------------------------------------------------------
-    # Replication (per-shard replica serving tier)
+    # Snapshot clones and delta replay (WAL recovery)
     # ------------------------------------------------------------------
 
     def clone(self) -> "OnlineIndex":
@@ -478,7 +478,8 @@ class OnlineIndex:
         it. The clone starts with no listeners and fresh locks (the
         pickling contract persisted snapshots also rely on) and
         can be brought forward mutation-by-mutation with
-        :meth:`apply_delta` — the replica tier's whole lifecycle.
+        :meth:`apply_delta`, which is how WAL recovery brings a
+        snapshot forward.
         """
         return pickle.loads(self.snapshot_bytes())
 
@@ -584,9 +585,9 @@ class OnlineIndex:
                 )
             self._degraded.discard(user)
             self.version = delta.seq
-            # The replica's own views (its reverse adjacency, a
-            # per-replica cache, a chained downstream tier) observe the
-            # replayed mutation through the replica's bus. The locally
+            # The replaying index's own views (its reverse adjacency,
+            # a cache, a WAL) observe the replayed mutation through its
+            # own bus. The locally
             # replayed journal is the structural truth; the shipped
             # scored delta rides along for any needs_scored view.
             self.deltas.publish(
@@ -636,7 +637,7 @@ class OnlineIndex:
         re-score become O(holders·k) row edits.
         """
         if self._reverse is None:
-            # Double-checked: N shard walks hitting a cold index must
+            # Double-checked: N concurrent walks hitting a cold index must
             # pay the O(n·k) group-by once, not once each. Safe under
             # the read lock — builders see the same frozen edge set.
             with self._reverse_build_lock:
@@ -873,7 +874,7 @@ class OnlineIndex:
 
         Called under the write lock after the mutation's own notify, so
         a re-split is journaled as its own ``resplit`` event (own
-        version, own :class:`ReplicaDelta`) and replicas replay the two
+        version, own :class:`ReplicaDelta`) and a replay applies the two
         in the exact primary order.
         """
         threshold = self.params.split_threshold
@@ -905,8 +906,7 @@ class OnlineIndex:
 
         Publishes one ``resplit`` event whose payload carries the new
         split marks and the final member lists of every touched
-        cluster, so replicas, caches and the WAL replay the exact
-        routing state.
+        cluster, so caches and the WAL replay the exact routing state.
         """
         threshold = self.params.split_threshold
         config, _ = self._cluster_key[cid]

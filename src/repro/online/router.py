@@ -74,8 +74,8 @@ class ClusterRouter:
         After this, :meth:`route` descends past the lineage exactly as
         it does for build-time splits — the primitive
         :meth:`repro.online.OnlineIndex._resplit` re-partitions
-        oversized clusters with (and replicas replay from the shipped
-        ``resplit`` delta payload).
+        oversized clusters with (and a delta replay applies from the
+        ``resplit`` payload).
         """
         self._split.add((int(config), tuple(lineage)))
 

@@ -1,8 +1,9 @@
 """Durable serving — snapshot + delta-WAL persistence, restart recovery.
 
-The replication protocol (:meth:`~repro.online.OnlineIndex.clone`, a
-``needs_scored`` view on ``index.deltas``, ``apply_delta``) already turns every mutation
-into a picklable, replayable :class:`~repro.online.ReplicaDelta`; this
+The delta protocol (a ``needs_scored`` view on ``index.deltas``,
+:meth:`~repro.online.OnlineIndex.apply_delta`) already turns every
+mutation into a picklable, replayable
+:class:`~repro.online.ReplicaDelta`; this
 package points that stream at disk so a process restart recovers the
 maintained graph instead of rebuilding it:
 

@@ -2,12 +2,12 @@
 
 Without persistence, a process restart throws the maintained C² graph
 away and pays a full O(n·k̃) similarity rebuild before serving again.
-But the mutation stream the index already exports for replicas
-(the delta bus's scored channel) is a natural
-write-ahead log: each :class:`~repro.online.ReplicaDelta` replays on a
-snapshot clone in O(|edges|) work and **zero similarity evaluations**
-(:meth:`~repro.online.OnlineIndex.apply_delta`). A restart is just a
-replica of the dead process.
+But the mutation stream the index already exports (the delta bus's
+scored channel) is a natural write-ahead log: each
+:class:`~repro.online.ReplicaDelta` replays on a snapshot clone in
+O(|edges|) work and **zero similarity evaluations**
+(:meth:`~repro.online.OnlineIndex.apply_delta`). A restart replays the
+dead process's log onto its last snapshot.
 
 :class:`DurableIndex` wires that together:
 
@@ -51,7 +51,7 @@ class _WalView(DerivedView):
 
     Declares ``needs_scored`` — the log stores the shippable
     :class:`~repro.online.ReplicaDelta` form, which recovery replays
-    through the same seq-guarded ``apply_delta`` path replicas use.
+    through the seq-guarded ``apply_delta``.
     The resync recipe is a checkpoint: when deltas cannot express what
     happened (a ``rebuild``), the snapshot *is* the durable form.
     """
@@ -100,45 +100,6 @@ class RecoveryInfo:
     seconds: float
 
 
-def _load(
-    path, *, segment_bytes: int, fsync: bool, readonly: bool = False
-) -> tuple[OnlineIndex, WriteAheadLog, RecoveryInfo]:
-    """Snapshot + WAL-tail replay; shared by ``recover`` and ``hydrate``.
-
-    ``readonly`` opens the log without the tail repair a real recovery
-    performs — mandatory when the directory's owning process is still
-    appending (hydration), where truncating its active segment under
-    it would corrupt the live log.
-    """
-    t0 = time.perf_counter()
-    store = SnapshotStore(path)
-    loaded = store.load_latest()
-    if loaded is None:
-        raise WALError(f"no snapshot in {Path(path)} — nothing to recover from")
-    payload, snapshot_seq = loaded
-    index: OnlineIndex = pickle.loads(payload)
-    wal = WriteAheadLog(
-        path, segment_bytes=segment_bytes, fsync=fsync, readonly=readonly
-    )
-    before = index.engine.comparisons
-    replayed = skipped = 0
-    for _seq, raw in wal.replay(after_seq=index.version):
-        if index.apply_delta(pickle.loads(raw)):
-            replayed += 1
-        else:
-            skipped += 1
-    info = RecoveryInfo(
-        snapshot_seq=snapshot_seq,
-        version=index.version,
-        replayed=replayed,
-        skipped=skipped,
-        tail_torn=wal.tail_torn,
-        evaluations=index.engine.comparisons - before,
-        seconds=time.perf_counter() - t0,
-    )
-    return index, wal, info
-
-
 class DurableIndex:
     """Snapshot + delta-WAL persistence wrapped around a live index.
 
@@ -183,8 +144,6 @@ class DurableIndex:
         self.path = Path(path)
         self.checkpoint_bytes = int(checkpoint_bytes)
         self.background_checkpoints = bool(background_checkpoints)
-        self.segment_bytes = int(segment_bytes)
-        self.fsync = bool(fsync)
         self.store = SnapshotStore(self.path)
         reg = registry if registry is not None else obs.metrics()
         self._c_checkpoints = reg.counter("durable_checkpoints_total")
@@ -233,7 +192,7 @@ class DurableIndex:
         """Append one mutation to the log (runs inside the mutation).
 
         A ``rebuild`` replaces the edge set wholesale — no delta can
-        express it, exactly as for replicas — so it checkpoints inline
+        express it — so it checkpoints inline
         instead: the snapshot **is** its durable form. Safe here
         because the index write lock is read-reentrant for the
         mutating thread.
@@ -329,11 +288,33 @@ class DurableIndex:
         Raises:
             WALError: no snapshot exists in ``path``.
             WALCorruptError: a committed log record failed its
-                checksum (named by seq); restore from a replica.
+                checksum (named by seq).
             StaleReplicaError: the log has a sequence gap the replay
                 cannot bridge.
         """
-        index, wal, info = _load(path, segment_bytes=segment_bytes, fsync=fsync)
+        t0 = time.perf_counter()
+        loaded = SnapshotStore(path).load_latest()
+        if loaded is None:
+            raise WALError(f"no snapshot in {Path(path)} — nothing to recover from")
+        payload, snapshot_seq = loaded
+        index: OnlineIndex = pickle.loads(payload)
+        wal = WriteAheadLog(path, segment_bytes=segment_bytes, fsync=fsync)
+        before = index.engine.comparisons
+        replayed = skipped = 0
+        for _seq, raw in wal.replay(after_seq=index.version):
+            if index.apply_delta(pickle.loads(raw)):
+                replayed += 1
+            else:
+                skipped += 1
+        info = RecoveryInfo(
+            snapshot_seq=snapshot_seq,
+            version=index.version,
+            replayed=replayed,
+            skipped=skipped,
+            tail_torn=wal.tail_torn,
+            evaluations=index.engine.comparisons - before,
+            seconds=time.perf_counter() - t0,
+        )
         durable = cls(
             index,
             path,
@@ -351,29 +332,6 @@ class DurableIndex:
             info.replayed / info.seconds if info.seconds > 0 else 0.0
         )
         return durable
-
-    def hydrate(self) -> OnlineIndex:
-        """A fresh index recovered from disk — replica bootstrap feed.
-
-        Re-reads snapshot + WAL without touching the live index or its
-        locks, so a :class:`~repro.serve.ReplicaSet` can hydrate new
-        replicas from persisted state instead of pickling the primary
-        under its read lock (``ReplicaSet(..., hydrate=durable.hydrate)``).
-        The log is opened **read-only** — nothing on disk is repaired,
-        so the live log this object keeps appending to is never
-        touched. Appends flushed before the call are included; a
-        record torn by a concurrent append ends the replay cleanly one
-        delta early, which the replica tier's seq guard then handles
-        like any snapshot race.
-        """
-        index, wal, _info = _load(
-            self.path,
-            segment_bytes=self.segment_bytes,
-            fsync=self.fsync,
-            readonly=True,
-        )
-        wal.close()
-        return index
 
     # ------------------------------------------------------------------
 

@@ -1,7 +1,7 @@
 """Atomic snapshot files — the checkpoint half of durable serving.
 
 A snapshot is the pickled form an :class:`~repro.online.OnlineIndex`
-already knows how to produce for replicas
+already knows how to produce
 (:meth:`~repro.online.OnlineIndex.snapshot_bytes`); this module gives
 it a crash-safe disk life. Writes go to a temporary file first and are
 published with ``os.replace`` — on any filesystem that's an atomic

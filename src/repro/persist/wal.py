@@ -154,12 +154,6 @@ class WriteAheadLog:
     fresh segment. Appends are thread-safe; ``seq`` must be strictly
     increasing (the primary's version stream already is).
 
-    ``readonly=True`` opens the log for replay only: nothing on disk
-    is repaired, truncated or unlinked — a torn or even mid-write
-    tail is simply not replayed — and :meth:`append` refuses. This is
-    the mode for reading a directory another process (or the same
-    process's live log) is still appending to, e.g. replica hydration.
-
     ``registry`` selects the :class:`~repro.obs.MetricsRegistry` for
     the append/fsync latency histograms and the size gauges (default:
     the process-wide registry).
@@ -171,14 +165,12 @@ class WriteAheadLog:
         *,
         segment_bytes: int = 8 << 20,
         fsync: bool = False,
-        readonly: bool = False,
         registry=None,
     ) -> None:
         self.path = Path(path)
         self.path.mkdir(parents=True, exist_ok=True)
         self.segment_bytes = int(segment_bytes)
         self.fsync = bool(fsync)
-        self.readonly = bool(readonly)
         reg = registry if registry is not None else obs.metrics()
         self._c_appends = reg.counter("wal_appends_total")
         self._h_append = reg.histogram("wal_append_seconds")
@@ -208,9 +200,8 @@ class WriteAheadLog:
     def _recover_tail(self) -> None:
         """Validate the final segment; truncate a torn tail in place.
 
-        Read-only logs never modify disk: a torn (or mid-append) tail
-        is noted and excluded from replay, a record-less final segment
-        is skipped in memory instead of unlinked.
+        A record-less final segment (torn before its first record
+        committed) is unlinked.
         """
         drop_from = len(self._segments)
         while drop_from:
@@ -218,21 +209,18 @@ class WriteAheadLog:
             records, end, torn = _scan_segment(seg, tolerate_torn_tail=True)
             if not records:
                 # Torn before the first record committed: the file
-                # carries nothing. Drop it (in memory always; on disk
-                # only when this log owns the directory).
+                # carries nothing. Drop it.
                 drop_from -= 1
                 self.tail_torn = self.tail_torn or torn
-                if not self.readonly:
-                    self._live_bytes -= seg.stat().st_size
-                    seg.unlink()
+                self._live_bytes -= seg.stat().st_size
+                seg.unlink()
                 continue
             if torn:
                 self.tail_torn = True
-                if not self.readonly:
-                    torn_bytes = seg.stat().st_size - end
-                    with seg.open("r+b") as fh:
-                        fh.truncate(end)
-                    self._live_bytes = max(0, self._live_bytes - torn_bytes)
+                torn_bytes = seg.stat().st_size - end
+                with seg.open("r+b") as fh:
+                    fh.truncate(end)
+                self._live_bytes = max(0, self._live_bytes - torn_bytes)
             self.last_seq = records[-1][0]
             break
         self._segments = self._segments[:drop_from]
@@ -248,8 +236,6 @@ class WriteAheadLog:
         with self._lock:
             if self._closed:
                 raise WALError("log is closed")
-            if self.readonly:
-                raise WALError("log is readonly")
             if self.last_seq is not None and seq <= self.last_seq:
                 raise ValueError(
                     f"seq {seq} not after last appended seq {self.last_seq}"

@@ -6,26 +6,22 @@ arbitrary (including out-of-index) profiles via cluster-routed
 graph-walk search (:class:`GraphSearcher`, with optional exact
 re-ranking for estimate backends), one batching/caching front end with
 sync and ``asyncio`` entry points and partial cache invalidation
-(:class:`QueryEngine`) that can spread deduped misses across thread
-shards (``shards=``) — optionally backed by per-shard replica indexes
-that converge via shipped journal deltas instead of shared state
-(``replicas=True``, :class:`ReplicaSet`) — and an adapter that turns
-served neighbours into item recommendations (:class:`Recommender`).
-Every similarity a query spends is counted through the engine's
-``charge()`` protocol, so serving cost is comparable with build and
-update cost in the same currency.
+(:class:`QueryEngine`) that walks each deduped miss on the calling
+thread, and an adapter that turns served neighbours into item
+recommendations (:class:`Recommender`). Every similarity a query
+spends is counted through the engine's ``charge()`` protocol, so
+serving cost is comparable with build and update cost in the same
+currency.
 """
 
 from .engine import QueryEngine
 from .recommender import Recommender
-from .replica import ReplicaSet
 from .searcher import GraphSearcher, SearchResult, brute_force_top_k
 
 __all__ = [
     "GraphSearcher",
     "QueryEngine",
     "Recommender",
-    "ReplicaSet",
     "SearchResult",
     "brute_force_top_k",
 ]

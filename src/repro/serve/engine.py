@@ -1,4 +1,4 @@
-"""Batched query serving: dedup, result caching, sharding, sync + async APIs.
+"""Batched query serving: dedup, result caching, sync + async APIs.
 
 :class:`GraphSearcher` answers one query; :class:`QueryEngine` turns it
 into the one service front end:
@@ -8,19 +8,9 @@ into the one service front end:
   concurrent ``await``-ers into one batch per event-loop tick;
 * **deduplication** — identical profiles inside a batch are searched
   once, so a thundering herd of the same query charges the engine a
-  single time;
-* **sharding** — ``shards=N`` sends each deduped miss to worker
-  ``crc32(canonical profile) % N``: a stateless rule that needs no
-  lock and spreads even single-query calls. Shard threads share the
-  engine's one :class:`GraphSearcher` (its scratch is thread-local)
-  and walk the primary under its readers-writer lock, so walks overlap
-  each other and only serialise against mutations. ``replicas=True``
-  gives every shard its own replica index instead
-  (:class:`~repro.serve.ReplicaSet`), converging by shipped journal
-  deltas, so walks touch no primary lock at all. A batch whose misses
-  all land on one shard walks on the calling thread. Sharding never
-  changes answers: the same deterministic searcher configuration
-  walks converged state (property-tested);
+  single time. Every deduped miss is walked on the calling thread,
+  under the index's readers-writer lock: callers on several threads
+  overlap their walks and only serialise against mutations;
 * **an LRU result cache** wired to the index's delta bus as a
   registered :class:`~repro.deltas.DerivedView`. Two invalidation
   modes:
@@ -63,9 +53,7 @@ from __future__ import annotations
 
 import asyncio
 import threading
-import zlib
 from collections import OrderedDict
-from concurrent.futures import ThreadPoolExecutor
 from time import perf_counter
 
 import numpy as np
@@ -73,7 +61,6 @@ import numpy as np
 from .. import obs
 from ..deltas.view import DerivedView
 from ..online.index import OnlineIndex
-from .replica import ReplicaSet
 from .searcher import GraphSearcher, SearchResult
 
 __all__ = ["QueryEngine"]
@@ -144,8 +131,8 @@ class _ResultCache:
     through it}`` lets a re-split evict exactly the answers it can
     have re-routed; in ``"full"`` mode any mutation clears everything
     and lookups also enforce the stored index version (belt and braces
-    against a detached hook). Thread-safe: shard workers store into it
-    concurrently.
+    against a detached hook). Thread-safe: concurrent callers store
+    into it.
     """
 
     def __init__(self, size: int, mode: str = "partial", registry=None) -> None:
@@ -304,8 +291,7 @@ class QueryEngine:
     """Serves top-k queries over an :class:`OnlineIndex`.
 
     Args:
-        index: the maintained index to serve from (the primary, when
-            replicas are on: mutations always apply there, once).
+        index: the maintained index to serve from.
         k: default neighbours per query.
         cache_size: maximum cached results (LRU eviction); 0 disables
             caching.
@@ -315,24 +301,12 @@ class QueryEngine:
             module docstring for the exact contracts.
         searcher: the configured :class:`GraphSearcher` every walk
             uses (one with default parameters is built otherwise).
-            Shard threads share it; replicas walk a
-            :meth:`~GraphSearcher.rebind` of it.
-        shards: walk workers. ``1`` (default) walks every miss on the
-            calling thread; more spread each batch's deduped misses by
-            ``crc32(canonical profile) % shards`` over a thread pool.
-        replicas: give every shard its own replica index converging by
-            shipped journal deltas (:class:`~repro.serve.ReplicaSet`)
-            instead of walking the primary's shared state.
-        hydrate: forwarded to :class:`~repro.serve.ReplicaSet` —
-            bootstrap the initial replicas from persisted state (e.g.
-            :meth:`repro.persist.DurableIndex.hydrate`) instead of
-            cloning the live primary. Requires ``replicas=True``.
         registry: :class:`~repro.obs.MetricsRegistry` for the cache
             hit/miss/eviction and batch-latency metrics, labelled
             ``frontend="engine"`` (default: the process-wide registry).
         tracer: :class:`~repro.obs.Tracer` wrapping each cache miss in
             a ``query`` root span (children: the searcher's ``search``
-            tree and ``cache_store``), on whichever thread walks it.
+            tree and ``cache_store``), on the calling thread.
     """
 
     def __init__(
@@ -343,23 +317,15 @@ class QueryEngine:
         cache_size: int = 1024,
         invalidation: str = "partial",
         searcher: GraphSearcher | None = None,
-        shards: int = 1,
-        replicas: bool = False,
-        hydrate=None,
         registry=None,
         tracer=None,
     ) -> None:
-        if shards < 1:
-            raise ValueError("shards must be >= 1")
-        if hydrate is not None and not replicas:
-            raise ValueError("hydrate requires replicas=True")
         reg = registry if registry is not None else obs.metrics()
         self.tracer = tracer if tracer is not None else obs.tracer()
         self.index = index
         self.searcher = searcher or GraphSearcher(
             index, registry=registry, tracer=tracer
         )
-        self.shards = int(shards)
         self.default_k = int(k)
         self.cache_size = int(cache_size)
         self._cache = _ResultCache(cache_size, mode=invalidation, registry=reg)
@@ -372,33 +338,8 @@ class QueryEngine:
         self._c_misses = reg.counter("cache_misses_total", frontend="engine")
         self._c_dedup = reg.counter("cache_dedup_total", frontend="engine")
         self._h_batch = reg.histogram("serve_batch_seconds", frontend="engine")
-        # Per-shard series: the aggregate cannot show a hot or
-        # straggling shard, so misses and walk time are also recorded
-        # under a shard label.
-        shard_labels = [str(i) for i in range(self.shards)] if self.shards > 1 else []
-        self._c_shard_misses = [
-            reg.counter("shard_misses_total", frontend="engine", shard=s)
-            for s in shard_labels
-        ]
-        self._h_shard_batch = [
-            reg.histogram("shard_batch_seconds", frontend="engine", shard=s)
-            for s in shard_labels
-        ]
         self._pending: list[tuple[object, int | None, asyncio.Future]] = []
         self._flush_task: asyncio.Task | None = None
-        self._replica_set = (
-            ReplicaSet(
-                index, self.shards, searcher=self.searcher, hydrate=hydrate,
-                registry=registry,
-            )
-            if replicas
-            else None
-        )
-        self._pool = (
-            ThreadPoolExecutor(max_workers=self.shards, thread_name_prefix="repro-shard")
-            if self.shards > 1
-            else None
-        )
         self._view = index.deltas.register(_CacheView(self, "result_cache"))
 
     @property
@@ -406,13 +347,8 @@ class QueryEngine:
         """The cache's invalidation mode (``"partial"`` or ``"full"``)."""
         return self._cache.mode
 
-    @property
-    def replica_set(self) -> ReplicaSet | None:
-        """The backing :class:`ReplicaSet` (``None`` without replicas)."""
-        return self._replica_set
-
     def close(self) -> None:
-        """Detach from the index; release the replicas and the pool.
+        """Detach from the index.
 
         A closed engine stops observing mutations: in ``"full"`` mode
         the version stamps still refuse stale entries on lookup, in
@@ -422,10 +358,6 @@ class QueryEngine:
         self._view.close()
         if self._cache.mode == "partial":
             self._cache.clear()
-        if self._replica_set is not None:
-            self._replica_set.close()
-        if self._pool is not None:
-            self._pool.shutdown()
 
     # ------------------------------------------------------------------
     # Cache plumbing
@@ -453,12 +385,10 @@ class QueryEngine:
 
         Cache hits are answered immediately; the misses are
         deduplicated by canonical profile (identical profiles are
-        searched once) and each goes to shard
-        ``crc32(canonical profile) % shards``. The shards' walks run
-        on the pool when the misses span several shards, else on the
-        calling thread. Results come back in request order.
+        searched once) and walked on the calling thread, each inside a
+        ``query`` span, and cached. Results come back in request order.
         Thread-safe: the cache and counters take their own locks and
-        every walk runs under its index's read lock.
+        every walk runs under the index's read lock.
         """
         t_batch = perf_counter()
         k = int(k if k is not None else self.default_k)
@@ -476,24 +406,16 @@ class QueryEngine:
                 results[pos] = hit
             else:
                 misses.setdefault(key, []).append(pos)
-        by_shard: dict[int, list[tuple]] = {}
         for key, positions in misses.items():
-            shard = zlib.crc32(key[0]) % self.shards
-            by_shard.setdefault(shard, []).append(
-                (key, canon[positions[0]], len(positions))
-            )
-        if len(by_shard) > 1:
-            futures = [
-                self._pool.submit(self._walk_shard, shard, items, k)
-                for shard, items in by_shard.items()
-            ]
-            walked = [future.result() for future in futures]
-        else:
-            walked = [self._walk_shard(shard, items, k) for shard, items in by_shard.items()]
-        for items, answers in zip(by_shard.values(), walked):
-            for (key, _, _), result in zip(items, answers):
-                for pos in misses[key]:
-                    results[pos] = result
+            with self.tracer.span("query", k=k, dedup=len(positions)):
+                version = self.index.version
+                result = self.searcher.top_k(canon[positions[0]], k=k)
+                with self.tracer.span("cache_store"):
+                    self._cache.put(
+                        key, version, result, live_version=lambda: self.index.version
+                    )
+            for pos in positions:
+                results[pos] = result
         dedup = len(profiles) - hits - len(misses)
         with self._stats_lock:
             self.n_queries += len(profiles)
@@ -508,28 +430,6 @@ class QueryEngine:
             self._c_dedup.inc(dedup)
         self._h_batch.observe(perf_counter() - t_batch)
         return results  # type: ignore[return-value]
-
-    def _walk_shard(self, shard: int, items: list[tuple], k: int) -> list[SearchResult]:
-        """Answer one shard's deduped misses and cache each answer."""
-        t0 = perf_counter()
-        replicas = self._replica_set
-        out = []
-        for key, profile, dedup in items:
-            with self.tracer.span("query", k=k, dedup=dedup):
-                version = self.index.version
-                if replicas is None:
-                    result = self.searcher.top_k(profile, k=k)
-                else:
-                    result = replicas.search(shard, profile, k)
-                with self.tracer.span("cache_store"):
-                    self._cache.put(
-                        key, version, result, live_version=lambda: self.index.version
-                    )
-            out.append(result)
-        if self._c_shard_misses:
-            self._c_shard_misses[shard].inc(len(items))
-            self._h_shard_batch[shard].observe(perf_counter() - t0)
-        return out
 
     # ------------------------------------------------------------------
     # Async entry point
@@ -580,8 +480,7 @@ class QueryEngine:
         """Operational counters for dashboards and tests.
 
         Keys follow the shared serving-stats vocabulary
-        (``docs/observability.md``). With replicas, the tier's
-        shipping, resync and serving counters ride along.
+        (``docs/observability.md``).
         """
         with self._stats_lock:
             out = {
@@ -599,15 +498,6 @@ class QueryEngine:
             cache_entries=len(self._cache),
             postings_entries=self._cache.postings_size(),
             cluster_postings_entries=self._cache.cluster_postings_size(),
-            shards=self.shards,
             version=self.index.version,
         )
-        if self._replica_set is not None:
-            replica = self._replica_set.stats()
-            out.update(
-                deltas_shipped_total=replica["deltas_shipped_total"],
-                resyncs_total=replica["resyncs_total"],
-                replica_lag=replica["lag"],
-                replica_serving=replica["serving"],
-            )
         return out

@@ -67,7 +67,6 @@ at a few percent of its evaluations (``benchmarks/bench_serving.py``).
 
 from __future__ import annotations
 
-import copy
 import heapq
 import os
 import threading
@@ -169,9 +168,9 @@ class GraphSearcher:
         self.index = index
         self.walk_impl = walk_impl
         # Scratch buffers for the numpy kernels are thread-local: a
-        # sharded QueryEngine shares one searcher across its shard
-        # threads, and a bitmap mid-clear in one walk must not leak
-        # into another.
+        # QueryEngine shares one searcher across its caller threads,
+        # and a bitmap mid-clear in one walk must not leak into
+        # another.
         self._scratch = threading.local()
         self.ef = int(ef)
         self.per_config = int(per_config)
@@ -189,18 +188,6 @@ class GraphSearcher:
         self._h_evals = reg.histogram(
             "serve_walk_evaluations", bounds=obs.COUNT_BUCKETS
         )
-
-    def rebind(self, index: OnlineIndex) -> "GraphSearcher":
-        """This searcher's configuration, registry and tracer over ``index``.
-
-        A replica tier walks its clones with the engine's one searcher
-        configuration this way, so every replica walk reports where the
-        engine's own walks do.
-        """
-        twin = copy.copy(self)
-        twin.index = index
-        twin._scratch = threading.local()
-        return twin
 
     @property
     def engine(self) -> SimilarityEngine:
@@ -242,8 +229,7 @@ class GraphSearcher:
         with self.tracer.span("search", k=int(k), profile_size=int(profile.size)) as sp:
             # Walks read shared graph state that mutations patch in
             # place; the index's readers-writer lock keeps the two
-            # apart (many concurrent walks, mutations exclusive — see
-            # QueryEngine(shards=...)).
+            # apart (many concurrent walks, mutations exclusive).
             with self.index.lock.read():
                 result = self._walk(profile, int(k), ef, budget, exclude, extra_seeds)
             sp.note(hops=result.hops, evaluations=result.evaluations)

@@ -92,8 +92,8 @@ class TestMetricsDumpCommand:
             "index_mutation_seconds",  # online index
             "serve_query_seconds",     # searcher
             "cache_hits_total",        # query engine
-            "replica_deltas_shipped_total",  # replica set
             "wal_appends_total",       # WAL
+            'journal_lag{consumer="wal"}',  # WAL cursor via the journal
             "journal_mutations_total",  # journal exporter
         ):
             assert needle in out, needle

@@ -10,10 +10,8 @@ Covers the framework half and its contracts:
   snapshot/hydrate cursor plumbing;
 * clones and pickles start with a fresh bus that carries only the
   index's own reverse-adjacency view;
-* the anti-entropy audit (:meth:`~repro.serve.ReplicaSet.audit`) — the
-  acceptance scenario: an injected replica divergence (right version,
-  wrong edges) is detected and repaired, while merely lagging replicas
-  are left alone.
+* consumer views (the engine's result cache, the WAL) attach and
+  detach, and the scored export runs only while one wants it.
 
 The resync-equals-incremental property per ported consumer lives in
 ``tests/test_prop_deltas.py`` (REPRO_PROP_SEED matrix).
@@ -30,7 +28,8 @@ from repro import C2Params
 from repro.deltas import Delta, DeltaBus, DerivedView
 from repro.graph import ReverseAdjacency
 from repro.online import OnlineIndex, ReplicaDelta
-from repro.serve import QueryEngine, ReplicaSet
+from repro.persist import DurableIndex
+from repro.serve import QueryEngine
 
 K = 6
 
@@ -265,98 +264,18 @@ class TestConsumerRegistration:
             set(s) for s in want._in
         ]
 
-    def test_engine_and_replica_views_attach_and_detach(self, index):
+    def test_engine_and_wal_views_attach_and_detach(self, index, tmp_path):
         engine = QueryEngine(index, k=K, invalidation="partial")
-        replicas = ReplicaSet(index, 1)
+        assert not index.deltas.needs_scored  # a cache reads plain deltas
+        durable = DurableIndex(index, tmp_path, background_checkpoints=False)
         names = [v.name for v in index.deltas.views()]
-        assert "result_cache" in names and "replica_ship" in names
-        assert index.deltas.needs_scored  # shipping wants the scored export
-        replicas.close()
+        assert "result_cache" in names and "durable_wal" in names
+        assert index.deltas.needs_scored  # the WAL wants the scored export
+        durable.close()
         engine.close()
         names = [v.name for v in index.deltas.views()]
-        assert "result_cache" not in names and "replica_ship" not in names
+        assert "result_cache" not in names and "durable_wal" not in names
         assert not index.deltas.needs_scored
-
-
-# ----------------------------------------------------------------------
-# Anti-entropy: injected divergence is detected and repaired
-# ----------------------------------------------------------------------
-
-
-def _corrupt(replica, row=0):
-    """Right version, wrong edges: the failure no seq guard can see."""
-    with replica.lock.write():
-        ids = replica.graph.heaps.ids
-        ids[row, 0] = ids[row, 1]  # a duplicate changes the row's multiset
-
-
-class TestAntiEntropy:
-    """``ReplicaSet.audit()`` against real replicas with corrupted rows."""
-
-    def test_detects_and_repairs_injected_divergence(self, index, rng):
-        replicas = ReplicaSet(index, 2)
-        try:
-            _churn(index, rng, n=10)
-            assert replicas.converged()
-            assert replicas.audit() == 0
-
-            _corrupt(replicas.replica(0))
-            assert not replicas.converged()
-
-            assert replicas.audit() == 1
-            assert replicas.converged()
-            stats = replicas.stats()
-            assert stats["audits_total"] == 2
-            assert stats["divergences_total"] == 1
-            assert stats["repairs_total"] == 1
-            assert stats["resyncs_total"] == 1
-        finally:
-            replicas.close()
-
-    def test_divergence_repaired_by_riding_the_tape(self, index, rng):
-        """A divergence survives every later shipped delta; only the
-        audit sees it, whenever it runs."""
-        replicas = ReplicaSet(index, 2)
-        try:
-            _corrupt(replicas.replica(0))
-            _churn(index, rng, n=10)
-            # Shipping kept the corrupted replica at the primary's
-            # version without repairing (or even noticing) its edges.
-            assert replicas.stats()["resyncs_total"] == 0
-            assert replicas.replica(0).version == index.version
-            assert not replicas.converged()
-            assert replicas.audit() == 1
-            assert replicas.converged()
-        finally:
-            replicas.close()
-
-    def test_lagging_replica_is_not_flagged(self, index, rng):
-        stale = index.clone()
-        index.add_items(0, rng.integers(0, index.dataset.n_items, size=2))
-        # Hydrated from a snapshot one mutation behind: lagging until
-        # the transport catches it up, and corrupted on top of that.
-        replicas = ReplicaSet(index, 2, hydrate=stale.clone)
-        try:
-            _corrupt(replicas.replica(0))
-            assert replicas.lag() == 1
-            assert replicas.audit() == 0
-            stats = replicas.stats()
-            assert stats["divergences_total"] == 0
-            assert stats["resyncs_total"] == 0
-        finally:
-            replicas.close()
-
-    def test_same_version_wrong_digest_is_flagged(self, index):
-        replicas = ReplicaSet(index, 2)
-        try:
-            healthy, victim = replicas.replica(0), replicas.replica(1)
-            _corrupt(victim, row=5)
-            assert replicas.audit() == 1
-            assert replicas.replica(0) is healthy  # left alone
-            assert replicas.replica(1) is not victim  # resynced
-            assert replicas.converged()
-        finally:
-            replicas.close()
 
 
 # ----------------------------------------------------------------------

@@ -296,9 +296,9 @@ def test_journal_lag_sources_become_gauges():
     registry = MetricsRegistry()
     jm = JournalMetrics(index, registry=registry)
     try:
-        jm.attach_lag("replicas", lambda: 3)
+        jm.attach_lag("wal", lambda: 3)
         jm.collect()
-        assert registry.gauge("journal_lag", consumer="replicas").value == 3.0
+        assert registry.gauge("journal_lag", consumer="wal").value == 3.0
     finally:
         jm.close()
 

@@ -32,7 +32,7 @@ from repro.persist import (
     WriteAheadLog,
 )
 from repro.persist.wal import _HEADER, MAGIC
-from repro.serve import GraphSearcher, ReplicaSet
+from repro.serve import GraphSearcher
 from repro.graph.heap import edge_digest
 
 K = 6
@@ -351,17 +351,6 @@ class TestDurableIndex:
             assert np.array_equal(a.ids, b.ids)
         recovered.close()
 
-    def test_hydrate_feeds_replicas(self, index, tmp_path, rng):
-        durable = index.attach_persistence(tmp_path, checkpoint_bytes=0)
-        _churn(index, rng, n=10)
-        replicas = ReplicaSet(index, 2, hydrate=durable.hydrate)
-        assert replicas.converged()
-        assert replicas.resyncs == 0
-        _churn(index, rng, n=5)
-        assert replicas.converged()
-        replicas.close()
-        durable.close()
-
     def test_wal_payloads_are_replica_deltas(self, index, tmp_path, rng):
         from repro.online import ReplicaDelta
 
@@ -381,54 +370,6 @@ class TestDurableIndex:
         index.add_user([4, 5, 6])
         recovered = DurableIndex.recover(tmp_path)
         assert recovered.index.version == index.version - 1
-        recovered.close()
-
-
-class TestReadonlyHydration:
-    """hydrate() must never repair (mutate) the live log it reads."""
-
-    def test_readonly_open_leaves_torn_tail_untouched(self, tmp_path):
-        wal = WriteAheadLog(tmp_path)
-        wal.append(1, b"alpha")
-        wal.append(2, b"beta")
-        wal.close()
-        seg = wal.segments()[-1]
-        torn = seg.read_bytes()[:-3]
-        seg.write_bytes(torn)
-        ro = WriteAheadLog(tmp_path, readonly=True)
-        assert ro.tail_torn
-        assert list(ro.replay()) == [(1, b"alpha")]
-        assert seg.read_bytes() == torn  # no truncation happened
-        with pytest.raises(WALError, match="readonly"):
-            ro.append(3, b"gamma")
-        ro.close()
-
-    def test_readonly_open_keeps_recordless_final_segment(self, tmp_path):
-        from repro.persist.wal import MAGIC
-
-        wal = WriteAheadLog(tmp_path)
-        wal.append(1, b"alpha")
-        wal.close()
-        # The moment after a live writer opened a fresh segment and
-        # flushed only its magic — a reader must not unlink it.
-        fresh = tmp_path / f"{2:020d}.wal"
-        fresh.write_bytes(MAGIC)
-        ro = WriteAheadLog(tmp_path, readonly=True)
-        assert ro.last_seq == 1
-        assert fresh.exists()
-        ro.close()
-
-    def test_hydrate_leaves_live_log_appendable(self, index, tmp_path, rng):
-        durable = index.attach_persistence(tmp_path, checkpoint_bytes=0)
-        _churn(index, rng, n=10)
-        hydrated = durable.hydrate()
-        assert _state(hydrated) == _state(index)
-        # the live log was untouched: keep mutating, then recover all
-        _churn(index, rng, n=10)
-        want = _state(index)
-        durable.close()
-        recovered = DurableIndex.recover(tmp_path)
-        assert _state(recovered.index) == want
         recovered.close()
 
 

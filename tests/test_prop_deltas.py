@@ -7,17 +7,13 @@ same derived state the incremental path maintained —
 
 * **reverse adjacency**: the maintained in-edge sets equal a cold
   :meth:`~repro.graph.ReverseAdjacency.from_heaps` group-by;
-* **result caches** (one- and two-shard engines): resync clears to
-  exactly a fresh engine's state, and post-resync answers match a
-  fresh engine's answers query for query;
-* **replica shipping**: each replica's ``(version, digest)`` equals
-  the primary's after the tape, and again after a forced resync;
+* **result cache**: resync clears to exactly a fresh engine's state,
+  and post-resync answers match a fresh engine's answers query for
+  query;
 * **durable WAL**: recovery from disk reaches state parity with the
   live index both before and after the view's resync (a checkpoint);
 * **journal metrics**: the incrementally-maintained gauges equal a
-  freshly resynced exporter's on the same index;
-* **anti-entropy**: a tape with injected divergence ends converged —
-  the explicit ``ReplicaSet.audit()`` calls repaired every corruption.
+  freshly resynced exporter's on the same index.
 
 The CI property matrix shifts the seed base via ``REPRO_PROP_SEED`` so
 tier-1 stays at two seeds per run but the tapes vary across jobs.
@@ -36,7 +32,7 @@ from repro.graph import ReverseAdjacency, edge_digest
 from repro.obs import JournalMetrics, MetricsRegistry
 from repro.online import OnlineIndex
 from repro.persist import DurableIndex
-from repro.serve import QueryEngine, ReplicaSet
+from repro.serve import QueryEngine
 
 _SEED_BASE = int(os.environ.get("REPRO_PROP_SEED", "0"))
 SEEDS = [_SEED_BASE, _SEED_BASE + 1]
@@ -101,7 +97,7 @@ def test_reverse_view_resync_equals_incremental(seed):
 
 
 # ----------------------------------------------------------------------
-# Result caches (both front ends)
+# Result cache
 # ----------------------------------------------------------------------
 
 
@@ -138,49 +134,28 @@ def test_engine_cache_resync_equals_fresh_engine(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_sharded_cache_resync_equals_fresh_frontend(seed):
+def test_batched_cache_resync_equals_fresh_engine(seed):
+    """The same invariant when the cache is filled by whole batches."""
     index = _index(seed)
     rng = np.random.default_rng(seed + 30)
-    sharded = QueryEngine(index, shards=2, k=K)
+    engine = QueryEngine(index, k=K)
     try:
         pool = _pool(rng, index, n=20)
         for _ in range(2):
-            sharded.search_many(pool)
+            engine.search_many(pool)
             _churn(index, rng, n=8)
-        index.deltas.resync(sharded._view)
-        assert sharded.stats()["cache_entries"] == 0
-        fresh = QueryEngine(index, shards=2, k=K)
+        index.deltas.resync(engine._view)
+        assert engine.stats()["cache_entries"] == 0
+        fresh = QueryEngine(index, k=K)
         try:
-            got = sharded.search_many(pool)
+            got = engine.search_many(pool)
             want = fresh.search_many(pool)
             for a, b in zip(got, want):
                 assert a.ids.tolist() == b.ids.tolist()
         finally:
             fresh.close()
     finally:
-        sharded.close()
-
-
-# ----------------------------------------------------------------------
-# Replica shipping
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_replica_view_resync_equals_incremental(seed):
-    index = _index(seed)
-    replicas = ReplicaSet(index, 2)
-    try:
-        _churn(index, np.random.default_rng(seed + 40))
-        want = _state(index)
-        # Incrementally shipped state equals the primary...
-        assert replicas.replica_states() == [want, want]
-        # ...and the from-scratch recipe lands on the same state.
-        index.deltas.resync(replicas._view)
-        assert replicas.replica_states() == [want, want]
-        assert replicas.converged()
-    finally:
-        replicas.close()
+        engine.close()
 
 
 # ----------------------------------------------------------------------
@@ -239,35 +214,3 @@ def test_journal_metrics_resync_equals_incremental(seed):
             fresh.close()
     finally:
         incremental.close()
-
-
-# ----------------------------------------------------------------------
-# Anti-entropy heals a corrupted tape
-# ----------------------------------------------------------------------
-
-
-@pytest.mark.parametrize("seed", SEEDS)
-def test_anti_entropy_heals_random_corruptions_on_the_tape(seed):
-    index = _index(seed)
-    rng = np.random.default_rng(seed + 70)
-    replicas = ReplicaSet(index, 2)
-    try:
-        for round_ in range(4):
-            _churn(index, rng, n=12)
-            # Corrupt a random replica in place mid-tape: same version,
-            # different edges — only the digest audit can see it.
-            victim = replicas.replica(int(rng.integers(0, 2)))
-            row = int(rng.integers(0, victim.graph.heaps.n))
-            with victim.lock.write():
-                ids = victim.graph.heaps.ids
-                ids[row, 0] = ids[row, 1]  # duplicate: multiset changes
-            replicas.audit()
-        assert replicas.converged()
-        stats = replicas.stats()
-        assert stats["audits_total"] == 4
-        assert stats["divergences_total"] >= 1
-        # A row whose first two slots already matched diverges nothing;
-        # every divergence that did occur was healed.
-        assert stats["repairs_total"] == stats["divergences_total"]
-    finally:
-        replicas.close()

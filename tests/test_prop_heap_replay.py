@@ -9,9 +9,16 @@ pins that against per-edge oracles (the original loop for the heap
 table, :meth:`ReverseAdjacency.apply` for the in-edge sets) on random
 valid tapes including drop-and-re-add of the same edge, score-only
 re-adds, and removals of absent edges, and then checks the production
-consumers of the batched path end to end: ``DurableIndex.recover()``
-(WAL replay) and ``ReplicaSet`` (delta shipping) reproduce the
-primary's serving state exactly.
+consumer of the batched path end to end: ``DurableIndex.recover()``
+(WAL replay) reproduces the primary's serving state exactly.
+
+The replay oracles then pin :meth:`OnlineIndex.apply_delta` itself on
+an :meth:`~OnlineIndex.clone` fed the primary's scored
+:class:`~repro.online.ReplicaDelta` stream (the records the WAL
+stores): a clone fed every delta is identical to the primary at every
+step, a lagging clone converges once drained, replaying a delta twice
+is a no-op, deltas older than the clone's snapshot are skipped, and a
+sequence gap raises :class:`~repro.online.StaleReplicaError`.
 
 The CI property matrix shifts the seed base via ``REPRO_PROP_SEED`` so
 tier-1 stays at two seeds per run but tapes vary across jobs.
@@ -27,9 +34,9 @@ from repro import C2Params
 from repro.data import SyntheticSpec, generate
 from repro.graph.heap import EMPTY, NeighborHeaps
 from repro.graph.reverse import ReverseAdjacency
-from repro.online import OnlineIndex
+from repro.online import OnlineIndex, StaleReplicaError
 from repro.persist import DurableIndex
-from repro.serve import GraphSearcher, ReplicaSet
+from repro.serve import GraphSearcher
 from repro.graph.heap import edge_digest
 
 K = 6
@@ -242,20 +249,199 @@ def test_recovery_parity_through_batched_replay(seed, tmp_path, mutate):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_replica_parity_through_batched_replay(seed, mutate):
-    """Thread replicas fed shipped deltas converge via the batched path."""
+def test_replica_parity_through_batched_replay(seed, tap, mutate):
+    """A clone fed the shipped deltas converges via the batched path."""
     index = _index(seed)
     index.reverse_index()
-    replicas = ReplicaSet(index, 2)
+    replica = index.clone()
+    replica.reverse_index()
+    feed = tap(index, lambda delta: _apply_fresh(replica, delta), scored=True)
     try:
         rng = np.random.default_rng(seed + 2000)
         for _ in range(N_OPS):
             mutate(index, rng, **_OPS)
-        assert replicas.converged()
-        assert replicas.stats()["resyncs_total"] == 0
-        for pos in range(2):
-            replica = replicas.replica(pos)
-            assert replica.graph.heaps.edge_sets() == index.graph.heaps.edge_sets()
-            assert replica.reverse_index().to_sets() == index.reverse_index().to_sets()
+        assert replica.version == index.version
+        assert edge_digest(replica.graph.heaps) == edge_digest(index.graph.heaps)
+        assert replica.graph.heaps.edge_sets() == index.graph.heaps.edge_sets()
+        assert replica.reverse_index().to_sets() == index.reverse_index().to_sets()
     finally:
-        replicas.close()
+        feed.close()
+
+
+# ----------------------------------------------------------------------
+# apply_delta replay oracles: a clone fed the scored delta stream
+# ----------------------------------------------------------------------
+
+# A GoldFinger index, and a tail that repairs degraded rows, so refill
+# deltas are on the tape too.
+_REPLICA_OPS = dict(tail="refill")
+
+
+def _replica_index(seed):
+    spec = SyntheticSpec(
+        name="proprep", n_users=140, n_items=280, mean_profile_size=22.0,
+        n_communities=8, community_pool_size=60, min_profile_size=8,
+    )
+    dataset = generate(spec, seed=seed)
+    params = C2Params(k=K, n_buckets=64, n_hashes=4, split_threshold=60, seed=1)
+    return OnlineIndex.build(dataset, params=params, backend="goldfinger")
+
+
+def _apply_fresh(replica, delta):
+    """Replay one delta that must be new to ``replica``."""
+    assert replica.apply_delta(delta)
+
+
+def _random_profile(index, rng):
+    if rng.random() < 0.5 and index.dataset.active_users().size:
+        base = index.dataset.profile(int(rng.choice(index.dataset.active_users())))
+        keep = rng.random(base.size) > 0.4
+        return base[keep] if keep.any() else base
+    return rng.integers(0, index.dataset.n_items, size=int(rng.integers(3, 20)))
+
+
+def _assert_state_parity(replica, primary):
+    """The full serving-state oracle a converged replica must satisfy."""
+    assert replica.version == primary.version
+    assert replica.graph.heaps.edge_sets() == primary.graph.heaps.edge_sets()
+    assert edge_digest(replica.graph.heaps) == edge_digest(primary.graph.heaps)
+    assert replica.reverse_index().to_sets() == primary.reverse_index().to_sets()
+    assert replica._assign == primary._assign
+    assert replica._members == primary._members
+    assert replica.dataset.n_items == primary.dataset.n_items
+    assert np.array_equal(
+        replica.dataset.active_mask(), primary.dataset.active_mask()
+    )
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_synchronous_replica_is_identical_at_every_step(seed, tap, mutate):
+    primary = _replica_index(seed)
+    primary.reverse_index()  # maintained on both sides from the start
+    replica = primary.clone()
+    replica.reverse_index()
+    feed = tap(primary, lambda delta: _apply_fresh(replica, delta), scored=True)
+    walk_primary = GraphSearcher(primary)
+    walk_replica = GraphSearcher(replica)
+    rng = np.random.default_rng(seed + 600)
+    try:
+        for _ in range(N_OPS):
+            mutate(primary, rng, **_REPLICA_OPS)
+            _assert_state_parity(replica, primary)
+            # Behaviour oracle: the replica's walk answers exactly what
+            # the primary's would, profile by profile.
+            profile = _random_profile(primary, rng)
+            a = walk_primary.top_k(profile, k=K)
+            b = walk_replica.top_k(profile, k=K)
+            assert np.array_equal(a.ids, b.ids)
+            assert a.scores == pytest.approx(b.scores)
+            assert a.evaluations == b.evaluations and a.hops == b.hops
+    finally:
+        feed.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_lagging_replica_converges_once_drained(seed, tap, mutate):
+    """Buffer the shipped deltas, drain them in random chunks."""
+    primary = _replica_index(seed)
+    primary.reverse_index()
+    replica = primary.clone()
+    replica.reverse_index()
+    queue = []
+    feed = tap(primary, queue.append, scored=True)
+    rng = np.random.default_rng(seed + 700)
+    try:
+        for _ in range(N_OPS):
+            mutate(primary, rng, **_REPLICA_OPS)
+            if queue and rng.random() < 0.4:
+                # Drain a random prefix — the replica lags behind by
+                # whatever remains buffered.
+                take = int(rng.integers(1, len(queue) + 1))
+                batch, queue[:] = queue[:take], queue[take:]
+                for delta in batch:
+                    assert replica.apply_delta(delta)
+        for delta in queue:
+            assert replica.apply_delta(delta)
+        _assert_state_parity(replica, primary)
+        # Idempotence: a replayed tail (a retry after a worker hiccup)
+        # changes nothing.
+        replayed = []
+        replay_feed = tap(primary, replayed.append, scored=True)
+        mutate(primary, np.random.default_rng(seed + 701), **_REPLICA_OPS)
+        for delta in replayed:
+            assert replica.apply_delta(delta)
+            assert not replica.apply_delta(delta)
+        _assert_state_parity(replica, primary)
+        replay_feed.close()
+    finally:
+        feed.close()
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_snapshot_raced_deltas_are_skipped(seed, tap, mutate):
+    """A delta older than the snapshot it joined must be a no-op."""
+    primary = _replica_index(seed)
+    deltas = []
+    feed = tap(primary, deltas.append, scored=True)
+    rng = np.random.default_rng(seed + 800)
+    try:
+        for _ in range(5):
+            mutate(primary, rng, **_REPLICA_OPS)
+        clone = primary.clone()  # snapshot already contains all 5
+        for delta in deltas:
+            assert not clone.apply_delta(delta)
+        _assert_state_parity(clone, primary)
+    finally:
+        feed.close()
+
+
+def test_clone_tracks_every_mutation_one_delta_per_version(tap):
+    """Each mutation ships exactly one scored delta, and a clone fed
+    them lands on full serving-state parity with the primary."""
+    primary = _replica_index(_SEED_BASE)
+    primary.reverse_index()  # built before the clone is taken
+    replica = primary.clone()
+    start = primary.version
+    applied = []
+
+    def ship(delta):
+        _apply_fresh(replica, delta)
+        applied.append(delta)
+
+    feed = tap(primary, ship, scored=True)
+    rng = np.random.default_rng(_SEED_BASE + 900)
+    try:
+        for _ in range(20):
+            active = primary.dataset.active_users()
+            op = rng.random()
+            if op < 0.4:
+                primary.add_items(
+                    int(rng.choice(active)),
+                    rng.integers(0, primary.dataset.n_items, size=2),
+                )
+            elif op < 0.7:
+                primary.add_user(rng.integers(0, primary.dataset.n_items, size=12))
+            else:
+                primary.remove_user(int(rng.choice(active)))
+        assert len(applied) == primary.version - start == 20
+        _assert_state_parity(replica, primary)
+    finally:
+        feed.close()
+
+
+def test_stale_delta_stream_raises_and_heals(tap):
+    index = _replica_index(_SEED_BASE)
+    clone = index.clone()
+    deltas = []
+    feed = tap(index, deltas.append, scored=True)
+    try:
+        index.add_user([1, 2, 3])
+        index.add_user([4, 5, 6])
+        with pytest.raises(StaleReplicaError):
+            clone.apply_delta(deltas[1])  # gap: delta 0 never applied
+        assert clone.apply_delta(deltas[0])
+        assert clone.apply_delta(deltas[1])
+        assert not clone.apply_delta(deltas[1])  # idempotent skip
+        assert edge_digest(clone.graph.heaps) == edge_digest(index.graph.heaps)
+    finally:
+        feed.close()

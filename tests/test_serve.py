@@ -1,12 +1,15 @@
 """Tests for the query-serving subsystem (repro.serve)."""
 
 import asyncio
+import sys
+import threading
 
 import numpy as np
 import pytest
 
 from repro import C2Params
 from repro.cli import main
+from repro.obs import MetricsRegistry, Tracer
 from repro.online import MutableDataset, OnlineIndex
 from repro.recommend import recommend_from_neighbors
 from repro.serve import (
@@ -28,6 +31,25 @@ def _params(**kw):
 @pytest.fixture(scope="module")
 def served_index(small_dataset):
     return OnlineIndex.build(small_dataset, params=_params())
+
+
+def _batch(rng, n_items, size=16):
+    return [rng.integers(0, n_items, size=int(rng.integers(3, 12))) for _ in range(size)]
+
+
+def _churn(index, rng, n_ops=15):
+    for _ in range(n_ops):
+        active = index.dataset.active_users()
+        op = rng.random()
+        if op < 0.4 and active.size:
+            index.add_items(
+                int(rng.choice(active)),
+                rng.integers(0, index.dataset.n_items, size=2),
+            )
+        elif op < 0.7:
+            index.add_user(rng.integers(0, index.dataset.n_items, size=12))
+        elif active.size > 100:
+            index.remove_user(int(rng.choice(active)))
 
 
 class TestQueryProtocol:
@@ -287,6 +309,23 @@ class TestQueryEngine:
         finally:
             queries.close()
 
+    def test_partial_mode_covers_batched_entries(self, small_dataset):
+        index = OnlineIndex.build(small_dataset, params=_params())
+        queries = QueryEngine(index)
+        try:
+            (a,) = queries.search_many([[1, 2, 3]])
+            victim = int(a.ids[0])
+            index.add_items(victim, [small_dataset.n_items - 1])
+            assert queries.search([1, 2, 3]) is not a
+            (bystander,) = queries.search_many([[7, 8]])
+            other = int(
+                np.setdiff1d(index.dataset.active_users(), bystander.ids)[0]
+            )
+            index.add_items(other, [small_dataset.n_items - 2])
+            assert queries.search([7, 8]) is bystander
+        finally:
+            queries.close()
+
     def test_partial_mode_never_serves_removed_user(self, small_dataset):
         index = OnlineIndex.build(small_dataset, params=_params())
         queries = QueryEngine(index)
@@ -321,6 +360,43 @@ class TestQueryEngine:
             assert stats["dedup_hits_total"] == 2
         finally:
             queries.close()
+
+    def test_batch_results_fill_the_cache(self, served_index):
+        queries = QueryEngine(served_index)
+        try:
+            a = queries.search_many([[1, 2], [2, 1], [5, 9]])
+            assert a[0] is a[1]  # deduped within the batch
+            assert queries.search([1, 2]) is a[0]  # served from the cache
+            stats = queries.stats()
+            assert stats["cache_hits_total"] == 1
+            assert stats["dedup_hits_total"] == 1
+            assert stats["cache_misses_total"] == 2
+        finally:
+            queries.close()
+
+    def test_batch_is_bit_identical_to_single_searches(
+        self, small_dataset, served_index
+    ):
+        """A batch answers exactly what one-at-a-time searches do, and
+        its walks sum to what the similarity engine was charged."""
+        rng = np.random.default_rng(3)
+        batch = _batch(rng, small_dataset.n_items, size=40)
+        queries = QueryEngine(served_index, cache_size=0)
+        reference = QueryEngine(served_index, cache_size=0)
+        try:
+            before = served_index.engine.comparisons
+            got = queries.search_many(batch)
+            charged = served_index.engine.comparisons - before
+            for x, profile in zip(got, batch):
+                y = reference.search(profile)
+                assert np.array_equal(x.ids, y.ids)
+                assert np.array_equal(x.scores, y.scores)
+                assert x.evaluations == y.evaluations
+            walks = {id(r): r for r in got}.values()  # in-batch dedup shares results
+            assert sum(r.evaluations for r in walks) == charged
+        finally:
+            queries.close()
+            reference.close()
 
     def test_lru_eviction(self, served_index):
         queries = QueryEngine(served_index, cache_size=2)
@@ -382,6 +458,321 @@ class TestQueryEngine:
             assert len(small) == 3 and len(large) == 5
         finally:
             queries.close()
+
+    def test_concurrent_awaiters_share_one_walk(self, small_dataset):
+        """Six awaiters of one profile cost the similarity engine one walk."""
+        index = OnlineIndex.build(small_dataset, params=_params())
+        registry = MetricsRegistry()
+        queries = QueryEngine(index, registry=registry)
+        try:
+            async def burst():
+                return await asyncio.gather(
+                    *(queries.search_async([7, 8, 9]) for _ in range(6))
+                )
+
+            before = index.engine.comparisons
+            results = asyncio.run(burst())
+            assert all(r is results[0] for r in results[1:])
+            assert index.engine.comparisons - before == results[0].evaluations
+            assert registry.counter("serve_queries_total").value == 1
+        finally:
+            queries.close()
+
+    def test_async_mixed_k_matches_sync_oracle(self, small_dataset):
+        index = OnlineIndex.build(small_dataset, params=_params())
+        queries = QueryEngine(index, cache_size=0)
+        oracle = QueryEngine(index, cache_size=0)
+        try:
+            async def burst():
+                return await asyncio.gather(
+                    queries.search_async([7, 8, 9], k=3),
+                    queries.search_async([7, 8, 9], k=5),
+                )
+
+            small, large = asyncio.run(burst())
+            for got, k in ((small, 3), (large, 5)):
+                want = oracle.search([7, 8, 9], k=k)
+                assert np.array_equal(got.ids, want.ids)
+                assert np.array_equal(got.scores, want.scores)
+        finally:
+            queries.close()
+            oracle.close()
+
+
+class TestEngineConcurrency:
+    """One serial engine driven by several caller threads.
+
+    Walks run under the index's read lock and mutations under its write
+    lock; the cache and counters take their own locks.
+    """
+
+    @pytest.mark.parametrize("entry", ["search_many", "search_async"])
+    def test_walks_report_to_engine_registry_and_tracer(
+        self, small_dataset, served_index, entry
+    ):
+        rng = np.random.default_rng(0)
+        batch = _batch(rng, small_dataset.n_items)
+        registry, tracer = MetricsRegistry(), Tracer()
+        engine = QueryEngine(
+            served_index, cache_size=0, registry=registry, tracer=tracer
+        )
+        oracle = QueryEngine(served_index, cache_size=0)
+        try:
+            if entry == "search_many":
+                got = engine.search_many(batch)
+            else:
+                async def burst():
+                    return await asyncio.gather(
+                        *(engine.search_async(p) for p in batch)
+                    )
+
+                got = asyncio.run(burst())
+            for x, y in zip(got, oracle.search_many(batch)):
+                assert np.array_equal(x.ids, y.ids)
+                assert x.evaluations == y.evaluations
+            walks = engine.stats()["cache_misses_total"]
+            assert registry.counter("serve_queries_total").value == walks
+            roots = tracer.recent()
+            assert [s.name for s in roots] == ["query"] * walks
+            for root in roots:
+                assert [c.name for c in root.children] == ["search", "cache_store"]
+        finally:
+            engine.close()
+            oracle.close()
+
+    def test_evaluations_are_per_walk(self, small_dataset, served_index):
+        """Each result bills its own walk only: walks overlapping on one
+        engine from several caller threads sum to the engine's charge
+        and match serial walks."""
+        rng = np.random.default_rng(2)
+        batches = [_batch(rng, small_dataset.n_items, size=50) for _ in range(4)]
+        engine = QueryEngine(served_index, cache_size=0)
+        serial = QueryEngine(served_index, cache_size=0)
+        got: dict[int, list] = {}
+        errors: list[BaseException] = []
+
+        def caller(i: int) -> None:
+            try:
+                got[i] = engine.search_many(batches[i])
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=caller, args=(i,)) for i in range(4)]
+        try:
+            before = served_index.engine.comparisons
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+            charged = served_index.engine.comparisons - before
+            assert not errors, errors
+            assert not any(t.is_alive() for t in threads)
+            walks = {id(r): r for i in got for r in got[i]}.values()
+            assert sum(r.evaluations for r in walks) == charged
+            for i, batch in enumerate(batches):
+                want = serial.search_many(batch)
+                assert [r.evaluations for r in got[i]] == [
+                    r.evaluations for r in want
+                ]
+                for x, y in zip(got[i], want):
+                    assert np.array_equal(x.ids, y.ids)
+                    assert np.array_equal(x.scores, y.scores)
+        finally:
+            engine.close()
+            serial.close()
+
+    def test_queries_race_mutations(self, small_dataset):
+        """Hammer one engine from 4 threads while mutations stream in."""
+        index = OnlineIndex.build(small_dataset, params=_params())
+        engine = QueryEngine(index)
+        errors: list[BaseException] = []
+        stop = threading.Event()
+
+        def reader(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                while not stop.is_set():
+                    results = engine.search_many(
+                        _batch(rng, small_dataset.n_items, size=4)
+                    )
+                    for r in results:
+                        assert np.unique(r.ids).size == r.ids.size
+                        assert np.all(r.ids < index.n_users)
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        threads = [threading.Thread(target=reader, args=(s,)) for s in range(4)]
+        try:
+            for t in threads:
+                t.start()
+            rng = np.random.default_rng(99)
+            for _ in range(25):
+                op = rng.random()
+                active = index.dataset.active_users()
+                if op < 0.5 and active.size:
+                    index.add_items(
+                        int(rng.choice(active)),
+                        rng.integers(0, index.dataset.n_items, size=2),
+                    )
+                elif op < 0.8:
+                    index.add_user(rng.integers(0, index.dataset.n_items, size=12))
+                elif active.size > 200:
+                    index.remove_user(int(rng.choice(active)))
+        finally:
+            stop.set()
+            for t in threads:
+                t.join(timeout=30)
+            engine.close()
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        # After the storm the index is still coherent: an uncached walk
+        # succeeds and returns a well-formed, active-only result set.
+        oracle = QueryEngine(index, cache_size=0)
+        try:
+            fresh = oracle.search([1, 2, 3])
+            active = index.dataset.active_mask()
+            assert np.unique(fresh.ids).size == fresh.ids.size
+            assert all(active[v] for v in fresh.ids)
+        finally:
+            oracle.close()
+
+    def test_counters_survive_concurrent_batches(self, small_dataset, served_index):
+        """More callers than cores, rapid thread switches: no counter
+        loses an update."""
+        registry = MetricsRegistry()
+        engine = QueryEngine(served_index, cache_size=64, registry=registry)
+        before = served_index.engine.comparisons
+        served: list[list] = []
+        errors: list[BaseException] = []
+
+        def caller(seed: int) -> None:
+            rng = np.random.default_rng(seed)
+            try:
+                for _ in range(5):
+                    batch = _batch(rng, small_dataset.n_items, size=8)
+                    batch += batch[:3]  # in-batch duplicates exercise dedup
+                    served.append(engine.search_many(batch))
+            except BaseException as exc:  # pragma: no cover - failure path
+                errors.append(exc)
+
+        interval = sys.getswitchinterval()
+        sys.setswitchinterval(1e-6)
+        threads = [threading.Thread(target=caller, args=(s,)) for s in range(6)]
+        try:
+            for t in threads:
+                t.start()
+            for t in threads:
+                t.join(timeout=60)
+        finally:
+            sys.setswitchinterval(interval)
+            engine.close()
+        assert not errors, errors
+        assert not any(t.is_alive() for t in threads)
+        stats = engine.stats()
+        assert stats["queries_total"] == 6 * 5 * 11
+        assert stats["queries_total"] == (
+            stats["cache_hits_total"] + stats["cache_misses_total"] + stats["dedup_hits_total"]
+        )
+        walks = stats["cache_misses_total"]
+        assert registry.counter("serve_queries_total").value == walks
+        assert registry.counter("cache_hits_total", frontend="engine").value == (
+            stats["cache_hits_total"]
+        )
+        # Hits re-serve a walk's result object; every walk is charged
+        # to the engine exactly once.
+        results = {id(r): r for batch in served for r in batch}.values()
+        assert len(results) == walks
+        assert sum(r.evaluations for r in results) == (
+            served_index.engine.comparisons - before
+        )
+
+    def test_async_dedup_survives_concurrent_mutations(self, small_dataset):
+        """Bursts of awaiters race a mutator thread; answers stay sound."""
+        index = OnlineIndex.build(small_dataset, params=_params())
+        engine = QueryEngine(index)
+        stop = threading.Event()
+
+        def mutate():
+            rng = np.random.default_rng(9)
+            while not stop.is_set():
+                _churn(index, rng, n_ops=1)
+
+        writer = threading.Thread(target=mutate)
+        writer.start()
+        try:
+            async def storm():
+                out = []
+                for wave in range(10):
+                    profile = [wave, wave + 1, wave + 2]
+                    results = await asyncio.gather(
+                        *(engine.search_async(profile) for _ in range(4))
+                    )
+                    assert all(r is results[0] for r in results[1:])
+                    out.extend(results)
+                return out
+
+            for result in asyncio.run(storm()):
+                assert np.unique(result.ids).size == result.ids.size
+                assert np.all(result.ids < index.n_users)
+        finally:
+            stop.set()
+            writer.join(timeout=30)
+            engine.close()
+        assert not writer.is_alive()
+
+
+class TestSignupInvalidation:
+    """A brand-new signup must become visible in cached answers."""
+
+    def test_twin_signup_evicts_the_answer_it_belongs_in(self, small_dataset):
+        index = OnlineIndex.build(small_dataset, params=_params())
+        engine = QueryEngine(index, k=5)
+        try:
+            profile = small_dataset.profile(3)
+            before = engine.search(profile)
+            assert 3 in before.ids  # sanity: the existing twin tops the list
+            uid = index.add_user(profile)  # identical signup
+            after = engine.search(profile)
+            assert after is not before  # her contacts' entries were evicted
+            assert uid in after.ids  # and she appears immediately
+        finally:
+            engine.close()
+
+    def test_twin_signup_reaches_batched_answers(self, small_dataset):
+        index = OnlineIndex.build(small_dataset, params=_params())
+        engine = QueryEngine(index, k=5)
+        try:
+            profile = small_dataset.profile(7)
+            (before,) = engine.search_many([profile])
+            assert 7 in before.ids
+            uid = index.add_user(profile)
+            after = engine.search_many([profile, profile])
+            assert after[0] is after[1] is not before
+            assert uid in after[0].ids
+        finally:
+            engine.close()
+
+    def test_unrelated_entries_still_survive_a_signup(self, small_dataset, tap):
+        index = OnlineIndex.build(small_dataset, params=_params())
+        engine = QueryEngine(index, k=5)
+        try:
+            bystander = engine.search([7, 8])
+            # A signup disjoint from the bystander's community: none of
+            # its contacts appear in the cached answer, so it survives.
+            contacts = set()
+            tap(
+                index,
+                lambda delta: contacts.update(
+                    x for uv in delta.edges for x in uv[:2]
+                ),
+            )
+            fresh = small_dataset.n_items - 1
+            index.add_user([fresh])
+            if contacts & set(int(v) for v in bystander.ids):
+                pytest.skip("random signup landed inside the bystander's answer")
+            assert engine.search([7, 8]) is bystander
+        finally:
+            engine.close()
 
 
 class TestRecommender:

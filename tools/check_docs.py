@@ -1,4 +1,4 @@
-"""CI docs checker — dead links and phantom CLI flags turn the build red.
+"""CI docs checker — dead links, phantom CLI flags and missing docs turn the build red.
 
 Two checks over ``README.md`` and every ``docs/*.md``:
 
@@ -14,6 +14,13 @@ Two checks over ``README.md`` and every ``docs/*.md``:
    ``benchmarks/perf_gate.py`` and this script. The help texts are
    scraped live, so a flag renamed in ``argparse`` but not in the docs
    (or vice versa) fails here.
+
+And one over the code in ``src/``, ``benchmarks/`` and ``examples/``:
+
+3. **Cited docs exist.** Every ``*.md`` path a ``.py`` file names
+   (``docs/paper.md``, ``SNIPPETS.md``, ...) must exist, relative to
+   the repository root or to the citing file. A comment that sends the
+   reader to a document nobody wrote fails here.
 
 Run::
 
@@ -34,6 +41,8 @@ ROOT = Path(__file__).resolve().parents[1]
 _LINK = re.compile(r"!?\[[^\]]*\]\(([^)\s]+)\)")
 _FLAG = re.compile(r"(?<![\w-])--[a-z][a-z0-9-]*")
 _EXTERNAL = ("http://", "https://", "mailto:")
+_MD_REF = re.compile(r"(?<![\w./:-])([\w./-]*\w\.md)\b")
+_CODE_DIRS = ("src", "benchmarks", "examples")
 
 
 def doc_files() -> list[Path]:
@@ -59,6 +68,29 @@ def check_links(files: list[Path]) -> list[str]:
                 failures.append(
                     f"{md.relative_to(ROOT)}: dead relative link -> {target}"
                 )
+    return failures
+
+
+def code_files() -> list[Path]:
+    """The Python files whose ``*.md`` citations :func:`check_md_refs` covers."""
+    return sorted(
+        f for d in _CODE_DIRS for f in (ROOT / d).rglob("*.py") if f.is_file()
+    )
+
+
+def check_md_refs(files: list[Path]) -> list[str]:
+    """``*.md`` paths named in code that exist neither at the root nor beside it."""
+    failures = []
+    for py in files:
+        for lineno, line in enumerate(
+            py.read_text(encoding="utf-8").splitlines(), start=1
+        ):
+            for match in _MD_REF.finditer(line):
+                name = match.group(1)
+                if (ROOT / name).exists() or (py.parent / name).exists():
+                    continue
+                where = py.relative_to(ROOT) if py.is_relative_to(ROOT) else py
+                failures.append(f"{where}:{lineno}: missing doc -> {name}")
     return failures
 
 
@@ -118,6 +150,7 @@ def main(argv=None) -> int:
 
     files = doc_files()
     failures = check_links(files)
+    failures.extend(check_md_refs(code_files()))
     n_flags = 0
     if not args.skip_flags:
         flags = known_flags()
