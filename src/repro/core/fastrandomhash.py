@@ -14,14 +14,16 @@ with the values ``<= η`` masked out:
     H\\η(u) = min { h(i) : i in P_u, h(i) > η }
 
 Both operations are computed for whole user batches with one
-``np.minimum.reduceat`` sweep over the CSR profile layout.
+``np.minimum.reduceat`` sweep over the CSR profile layout; a re-split
+gathers its members' profiles with
+:func:`~repro.data.dataset.gather_profiles`.
 """
 
 from __future__ import annotations
 
 import numpy as np
 
-from ..data.dataset import Dataset
+from ..data.dataset import Dataset, gather_profiles
 from .hashing import GenerativeHash
 
 __all__ = ["FastRandomHash", "UNDEFINED"]
@@ -56,13 +58,7 @@ class FastRandomHash:
         Items whose hash is ``<= eta`` are ignored; users left with no
         item get :data:`UNDEFINED` (they stay in the parent cluster).
         """
-        users = np.asarray(users, dtype=np.int64)
-        sizes = dataset.profile_sizes[users]
-        indptr = np.zeros(users.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        flat = np.empty(int(indptr[-1]), dtype=np.int32)
-        for pos, u in enumerate(users):
-            flat[indptr[pos] : indptr[pos + 1]] = dataset.profile(int(u))
+        flat, indptr = gather_profiles(dataset, users)
         hashes = self.generative(flat).astype(np.int64)
         hashes[hashes <= eta] = UNDEFINED
         return _segment_min(hashes, indptr)

@@ -29,29 +29,29 @@ def merge_partials(partials: Iterable[PartialKNN], n_users: int, k: int) -> KNNG
 
     Users are merged in blocks of ``_BLOCK_USERS``: a block's partial
     rows are gathered into one padded table, each user's ``t`` rows
-    side by side, and offered to the heaps in one call. Only row
-    indices are sorted, never the edges themselves, so the merge
-    allocates one block's table on top of the partials it reads.
+    side by side, by one fancy-index into the concatenated partial
+    ``ids``/``scores``, and offered to the heaps in one call. Only row
+    indices are sorted, never the edges themselves.
     """
     graph = KNNGraph(n_users, k)
     partials = list(partials)
     if not partials:
         return graph
     owners = np.concatenate([p.users for p in partials])
-    which = np.repeat(np.arange(len(partials)), [p.users.size for p in partials])
-    pos = np.concatenate([np.arange(p.users.size) for p in partials])
-    order = np.argsort(owners, kind="stable")
-    owners, which, pos = owners[order], which[order], pos[order]
+    all_ids = np.concatenate([p.ids for p in partials])
+    all_scores = np.concatenate([p.scores for p in partials])
+    order = np.argsort(owners, kind="stable")  # rows of all_ids, owner-sorted
+    owners = owners[order]
     rank = np.arange(owners.size) - np.searchsorted(owners, owners)  # among the owner's rows
     # Block bounds over the owner-sorted rows; empty blocks collapse.
     bounds = np.unique(np.searchsorted(owners, np.arange(0, n_users + _BLOCK_USERS, _BLOCK_USERS)))
     for lo, hi in zip(bounds[:-1].tolist(), bounds[1:].tolist()):
         users, slot = np.unique(owners[lo:hi], return_inverse=True)
-        found = list(zip(which[lo:hi].tolist(), pos[lo:hi].tolist()))
+        rows = order[lo:hi]
         ids = np.full((users.size, (int(rank[lo:hi].max()) + 1) * k), EMPTY)
         scores = np.full(ids.shape, -np.inf)
         cells = (slot[:, None], rank[lo:hi, None] * k + np.arange(k))
-        ids[cells] = [partials[i].ids[j] for i, j in found]
-        scores[cells] = [partials[i].scores[j] for i, j in found]
+        ids[cells] = all_ids[rows]
+        scores[cells] = all_scores[rows]
         graph.heaps.offer(users, ids, scores)
     return graph

@@ -14,7 +14,26 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dataset"]
+__all__ = ["Dataset", "gather_profiles"]
+
+
+def gather_profiles(dataset, users) -> tuple[np.ndarray, np.ndarray]:
+    """Concatenated profiles of ``users`` and their CSR index pointers.
+
+    One vectorised gather through the per-user ``starts`` into the item
+    ``buffer`` — the two names both a static :class:`Dataset` and the
+    slack-CSR :class:`~repro.online.MutableDataset` expose — so scoring,
+    re-hashing and snapshotting read any profile store the same way.
+    Returns ``(flat, indptr)``: ``flat[indptr[p]:indptr[p + 1]]`` is the
+    profile of ``users[p]``.
+    """
+    users = np.asarray(users, dtype=np.int64)
+    sizes = dataset.profile_sizes[users]
+    indptr = np.zeros(users.size + 1, dtype=np.int64)
+    np.cumsum(sizes, out=indptr[1:])
+    gather = np.repeat(dataset.starts[users] - indptr[:-1], sizes)
+    gather += np.arange(int(indptr[-1]), dtype=np.int64)
+    return dataset.buffer[gather], indptr
 
 
 @dataclass(frozen=True)
@@ -125,6 +144,16 @@ class Dataset:
         """``|P_u|`` for every user, shape ``(n_users,)``."""
         return self._profile_sizes
 
+    @property
+    def starts(self) -> np.ndarray:
+        """Offset of each user's profile in :attr:`buffer` (``indptr[:-1]``, no copy)."""
+        return self.indptr[:-1]
+
+    @property
+    def buffer(self) -> np.ndarray:
+        """The item buffer profiles are sliced from (``indices``, no copy)."""
+        return self.indices
+
     def profile(self, user: int) -> np.ndarray:
         """The sorted item ids of ``user``'s profile (a view, do not mutate)."""
         return self.indices[self.indptr[user] : self.indptr[user + 1]]
@@ -151,12 +180,7 @@ class Dataset:
         hash values — remain comparable with the parent dataset.
         """
         users = np.asarray(users, dtype=np.int64)
-        sizes = self.profile_sizes[users]
-        indptr = np.zeros(users.size + 1, dtype=np.int64)
-        np.cumsum(sizes, out=indptr[1:])
-        indices = np.empty(int(indptr[-1]), dtype=np.int32)
-        for pos, u in enumerate(users):
-            indices[indptr[pos] : indptr[pos + 1]] = self.profile(int(u))
+        indices, indptr = gather_profiles(self, users)
         return Dataset(
             indptr=indptr,
             indices=indices,

@@ -129,31 +129,6 @@ class ReverseAdjacency:
                 rows[v].discard(u)
             cache.pop(v, None)
 
-    def apply_scored(self, edges) -> None:
-        """Patch in exported ``(u, v, added, score)`` deltas.
-
-        The scored variant of :meth:`apply`: scores ride along for the
-        heap replay and are ignored here — the in-edge sets only care
-        about structure.
-        """
-        rows = self._in
-        cache = self._holders_cache
-        for u, v, added, _score in edges:
-            if added:
-                rows[v].add(u)
-            else:
-                rows[v].discard(u)
-            cache.pop(v, None)
-
-    def apply_scored_batch(self, edges) -> None:
-        """Batched :meth:`apply_scored` for delta replay streams.
-
-        Strips the scores and collapses the per-edge history exactly
-        like :meth:`apply_batch` — one set edit per distinct ``(u, v)``
-        no matter how often the shipped tape flips it.
-        """
-        self.apply_batch((u, v, added) for u, v, added, _score in edges)
-
     def to_sets(self) -> list[set[int]]:
         """Copy of the in-edge sets (oracle comparisons in tests)."""
         return [set(s) for s in self._in]

@@ -295,9 +295,7 @@ class OnlineIndex:
         # Tombstoned users must not resurface through a batch rebuild
         # (empty profiles cluster together on the UNDEFINED hash).
         # One vectorized sweep detaches all of them at once.
-        active_mask = np.zeros(self._data.n_users, dtype=bool)
-        active_mask[self._data.active_users()] = True
-        inactive = np.flatnonzero(~active_mask)
+        inactive = np.flatnonzero(~self._data.active_mask())
         if inactive.size:
             heaps = self.graph.heaps
             heaps.ids[inactive] = EMPTY

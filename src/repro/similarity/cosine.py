@@ -12,7 +12,7 @@ from __future__ import annotations
 import numpy as np
 
 from ..data.dataset import Dataset
-from .jaccard import intersection_size
+from .jaccard import intersection_size, profile_intersections
 
 __all__ = ["cosine_pair", "cosine_one_to_many", "cosine_matrix"]
 
@@ -26,18 +26,10 @@ def cosine_pair(a: np.ndarray, b: np.ndarray) -> float:
 
 def cosine_one_to_many(dataset: Dataset, user: int, others: np.ndarray) -> np.ndarray:
     """Cosine similarity of ``user`` against each user in ``others``."""
-    others = np.asarray(others, dtype=np.int64)
-    if others.size == 0:
-        return np.empty(0, dtype=np.float64)
-    mask = np.zeros(dataset.n_items, dtype=bool)
     profile = dataset.profile(user)
-    mask[profile] = True
-    sizes = dataset.profile_sizes[others]
-    inter = np.empty(others.size, dtype=np.float64)
-    for pos, v in enumerate(others):
-        inter[pos] = mask[dataset.profile(int(v))].sum()
+    inter, sizes = profile_intersections(dataset, profile, others)
     denom = np.sqrt(float(profile.size) * sizes)
-    out = np.zeros(others.size, dtype=np.float64)
+    out = np.zeros(inter.size, dtype=np.float64)
     nz = denom > 0
     out[nz] = inter[nz] / denom[nz]
     return out

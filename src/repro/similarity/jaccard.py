@@ -10,7 +10,7 @@ from __future__ import annotations
 
 import numpy as np
 
-from ..data.dataset import Dataset
+from ..data.dataset import Dataset, gather_profiles
 
 __all__ = [
     "jaccard_pair",
@@ -61,33 +61,29 @@ def profile_intersections(
     Vectorised via a membership mask over the item universe: one pass
     builds a boolean mask of the profile (callers scoring many batches
     pass a precomputed :func:`profile_mask`), then intersection sizes
-    for all ``others`` are gathered in a single fancy-indexing sweep
-    over their concatenated profiles — the concatenation itself is a
-    vectorised CSR gather (`indptr`/`indices`), not a per-candidate
-    python loop. The profile need not belong to any user in the
-    dataset (the query-serving path scores out-of-index profiles);
-    items beyond the dataset's universe cannot intersect anything and
-    only count toward the union.
+    for all ``others`` are counted in a single fancy-indexing sweep
+    over their concatenated profiles — gathered by
+    :func:`~repro.data.dataset.gather_profiles` through the per-user
+    starts and the item buffer, so a mutable store is read as it
+    stands, never re-packed first. The profile need not belong to any
+    user in the dataset (the query-serving path scores out-of-index
+    profiles); items beyond the dataset's universe cannot intersect
+    anything and only count toward the union.
     """
     others = np.asarray(others, dtype=np.int64)
-    sizes = dataset.profile_sizes[others]
     if others.size == 0:
-        return np.zeros(0, dtype=np.int64), sizes
+        return np.zeros(0, dtype=np.int64), dataset.profile_sizes[others]
     if mask is None:
         mask = profile_mask(dataset, profile)
-
-    # Gather the others' concatenated profiles from the CSR view and
-    # count mask hits per segment.
-    indptr = np.zeros(others.size + 1, dtype=np.int64)
-    np.cumsum(sizes, out=indptr[1:])
-    total = int(indptr[-1])
-    if total == 0:
-        return np.zeros(others.size, dtype=np.int64), sizes
-    starts = dataset.indptr[others]
-    gather = np.repeat(starts - indptr[:-1], sizes) + np.arange(total, dtype=np.int64)
-    hits = mask[dataset.indices[gather]]
-    inter = np.add.reduceat(hits, indptr[:-1], dtype=np.int64)
-    inter[sizes == 0] = 0
+    flat, indptr = gather_profiles(dataset, others)
+    sizes = indptr[1:] - indptr[:-1]
+    inter = np.zeros(others.size, dtype=np.int64)
+    if flat.size:
+        # Reduce over the non-empty segments only: they tile ``flat``
+        # exactly, and a trailing empty one would index past its end.
+        nonempty = sizes > 0
+        # ``take`` gathers through int32 ids far faster than ``mask[flat]``.
+        inter[nonempty] = np.add.reduceat(mask.take(flat), indptr[:-1][nonempty])
     return inter, sizes
 
 

@@ -3,6 +3,7 @@
 import numpy as np
 import pytest
 
+from repro.data import Dataset
 from repro.similarity import (
     cosine_matrix,
     cosine_one_to_many,
@@ -56,6 +57,14 @@ class TestOneToMany:
 
     def test_empty_others(self, tiny_dataset):
         assert jaccard_one_to_many(tiny_dataset, 0, np.array([])).size == 0
+
+    def test_empty_profiles_anywhere_in_others(self):
+        """An empty profile last in ``others`` must score 0, not index
+        past the end of the gathered items."""
+        ds = Dataset.from_profiles([[1, 2, 3], [2], [], [3]], n_items=5)
+        for others in (arr(1, 2), arr(2, 1, 2), arr(2), arr(3, 2, 2)):
+            want = [jaccard_pair(ds.profile(0), ds.profile(int(v))) for v in others]
+            np.testing.assert_allclose(jaccard_one_to_many(ds, 0, others), want)
 
     def test_cosine_matches_pairwise(self, tiny_dataset):
         others = np.array([1, 3, 4])

@@ -2,7 +2,7 @@
 
 ``NeighborHeaps.apply_edge_deltas`` groups shipped ``(u, v, added,
 score)`` deltas per user row and rebuilds each touched row once;
-``ReverseAdjacency.apply_batch``/``apply_scored_batch`` collapse a
+``ReverseAdjacency.apply_batch`` collapses a
 tape's per-``(u, v)`` history to its final flag. Both promise the
 same final state as a strictly per-edge, in-order replay — this suite
 pins that against per-edge oracles (the original loop for the heap
@@ -177,6 +177,12 @@ def test_same_edge_add_remove_readd_in_one_tape(seed):
     del rng
 
 
+def _unscored(edges):
+    """Scored ``(u, v, added, score)`` deltas as the ``(u, v, added)``
+    journal the reverse index patches from (it ignores scores)."""
+    return [(u, v, added) for u, v, added, _score in edges]
+
+
 @pytest.mark.parametrize("seed", SEEDS)
 def test_reverse_batch_equals_per_edge_apply(seed):
     rng = np.random.default_rng(seed + 13)
@@ -194,8 +200,8 @@ def test_reverse_batch_equals_per_edge_apply(seed):
         for v in range(n):
             assert np.array_equal(a.holders(v), b.holders(v))
         tape4 = [(u, v, added, 0.5) for u, v, added in tape3[::-1]]
-        a.apply_scored(tape4)
-        b.apply_scored_batch(tape4)
+        a.apply(_unscored(tape4))
+        b.apply_batch(_unscored(tape4))
         assert a.to_sets() == b.to_sets()
         for v in range(n):
             assert np.array_equal(a.holders(v), b.holders(v))
