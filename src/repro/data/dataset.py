@@ -14,7 +14,22 @@ from dataclasses import dataclass, field
 
 import numpy as np
 
-__all__ = ["Dataset", "gather_profiles"]
+__all__ = ["Dataset", "canonical_profile", "gather_profiles"]
+
+
+def canonical_profile(profile) -> np.ndarray:
+    """``profile`` as sorted-unique ``int64`` item ids.
+
+    Idempotent and cheap on canonical input: an already sorted-unique
+    1-D ``int64`` array comes back as is (one O(n) check instead of a
+    sort), so every layer of the read path (engine, searcher, router,
+    similarity backend) can accept raw profiles while a query is
+    sorted only once.
+    """
+    arr = np.asarray(profile, dtype=np.int64)
+    if arr.ndim == 1 and (arr.size < 2 or bool((arr[1:] > arr[:-1]).all())):
+        return arr
+    return np.unique(arr)
 
 
 def gather_profiles(dataset, users) -> tuple[np.ndarray, np.ndarray]:

@@ -52,6 +52,7 @@ from .._sync import RWLock
 from ..core.cluster_and_conquer import cluster_and_conquer
 from ..core.config import C2Params
 from ..core.fastrandomhash import UNDEFINED
+from ..data.dataset import canonical_profile
 from ..deltas.bus import Delta, DeltaBus
 from ..deltas.view import DerivedView
 from ..graph.heap import EMPTY
@@ -436,19 +437,23 @@ class OnlineIndex:
         """Annotate a drained journal into a shippable :class:`ReplicaDelta`.
 
         Added edges are scored by looking the edge up in the
-        post-mutation heap row (O(k) per edge); an added edge no longer
-        present was dropped later in the same journal, so its score is
-        irrelevant — the later drop delta erases it on the replica too.
+        post-mutation heap row — one row-wise ``(m, k)`` comparison over
+        the whole drained journal; an added edge no longer present was
+        dropped later in the same journal, so its score is irrelevant —
+        the later drop delta erases it on the replica too.
         """
-        heaps = self.graph.heaps
         edges: list[tuple[int, int, bool, float]] = []
-        for u, v, added in deltas:
-            score = 0.0
-            if added:
-                slot = np.flatnonzero(heaps.ids[u] == v)
-                if slot.size:
-                    score = float(heaps.scores[u, int(slot[0])])
-            edges.append((int(u), int(v), bool(added), score))
+        if deltas:
+            heaps = self.graph.heaps
+            us, vs, added = np.array(deltas, dtype=np.int64).T
+            added = added.astype(bool)
+            hit = heaps.ids[us] == vs[:, None]
+            slot = hit.argmax(axis=1)  # first matching slot (0 when none)
+            found = added & hit[np.arange(us.size), slot]
+            scores = np.where(found, heaps.scores[us, slot], 0.0)
+            edges = list(
+                zip(us.tolist(), vs.tolist(), added.tolist(), scores.tolist())
+            )
         assign = None
         if event in ("add_user", "add_items") and 0 <= user < len(self._assign):
             assign = list(self._assign[user])
@@ -665,7 +670,7 @@ class OnlineIndex:
         routing, so the cached answers it can invalidate are exactly
         those whose query routed into a touched cluster.
         """
-        profile = np.unique(np.asarray(profile, dtype=np.int64))
+        profile = canonical_profile(profile)
         profile = profile[profile < self._data.n_items]
         self._router.ensure_items(self._data.n_items)
         pools: list[np.ndarray] = []

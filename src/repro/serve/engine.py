@@ -59,6 +59,7 @@ from time import perf_counter
 import numpy as np
 
 from .. import obs
+from ..data.dataset import canonical_profile
 from ..deltas.view import DerivedView
 from ..online.index import OnlineIndex
 from .searcher import GraphSearcher, SearchResult
@@ -191,8 +192,8 @@ class _ResultCache:
                 self._drop(key)
             self._entries[key] = (version, result)
             if self.mode == "partial":  # full mode never consults postings
-                for v in result.ids:
-                    self._postings.setdefault(int(v), set()).add(key)
+                for v in result.ids.tolist():
+                    self._postings.setdefault(v, set()).add(key)
                 for cid in result.routed:
                     self._cluster_postings.setdefault(int(cid), set()).add(key)
             while len(self._entries) > self.size:
@@ -203,12 +204,12 @@ class _ResultCache:
         entry = self._entries.pop(key, None)
         if entry is None or self.mode != "partial":
             return
-        for v in entry[1].ids:
-            keys = self._postings.get(int(v))
+        for v in entry[1].ids.tolist():
+            keys = self._postings.get(v)
             if keys is not None:
                 keys.discard(key)
                 if not keys:
-                    del self._postings[int(v)]
+                    del self._postings[v]
         for cid in entry[1].routed:
             keys = self._cluster_postings.get(int(cid))
             if keys is not None:
@@ -397,7 +398,7 @@ class QueryEngine:
         misses: OrderedDict[tuple, list[int]] = OrderedDict()
         hits = 0
         for pos, profile in enumerate(profiles):
-            ids = np.unique(np.asarray(profile, dtype=np.int64))
+            ids = canonical_profile(profile)
             canon.append(ids)
             key = (ids.tobytes(), k)
             hit = self._cache.get(key, self.index.version)

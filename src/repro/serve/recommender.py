@@ -14,6 +14,7 @@ from __future__ import annotations
 
 import numpy as np
 
+from ..data.dataset import canonical_profile
 from ..recommend.cf import recommend_from_neighbors
 from .engine import QueryEngine
 
@@ -51,7 +52,7 @@ class Recommender:
 
     def recommend(self, profile, n_recommendations: int | None = None) -> np.ndarray:
         """Top item ids for a profile, best first."""
-        profile = np.unique(np.asarray(profile, dtype=np.int64))
+        profile = canonical_profile(profile)
         result = self.queries.search(profile, k=self.n_neighbors)
         return recommend_from_neighbors(
             self.dataset,
@@ -65,7 +66,7 @@ class Recommender:
         self, profile, n_recommendations: int | None = None
     ) -> np.ndarray:
         """Awaitable :meth:`recommend`; shares the engine's batching."""
-        profile = np.unique(np.asarray(profile, dtype=np.int64))
+        profile = canonical_profile(profile)
         result = await self.queries.search_async(profile, k=self.n_neighbors)
         return recommend_from_neighbors(
             self.dataset,

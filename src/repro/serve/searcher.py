@@ -21,12 +21,32 @@ similarity budget as builds and updates:
 2. **Best-first beam search** — the classic greedy walk of the
    NN-Descent / HNSW lineage over the KNN graph's edges: keep the
    ``ef`` best users seen so far, repeatedly expand the best
-   unexpanded candidate's neighbour list, stop when the best remaining
-   candidate cannot improve the result set. Expansion follows edges in
-   *both* directions: a directed top-k graph is a poor navigation
-   structure on its own — u's true neighbour v often keeps the edge
-   v→u when u's list has no room for v — and walking in-edges too
-   recovers roughly ten recall points at equal evaluation budget.
+   unexpanded candidates' neighbour lists, stop when the best
+   remaining candidate cannot improve the result set. Expansion
+   follows edges in *both* directions: a directed top-k graph is a
+   poor navigation structure on its own — u's true neighbour v often
+   keeps the edge v→u when u's list has no room for v — and walking
+   in-edges too recovers roughly ten recall points at equal
+   evaluation budget.
+
+A **hop** expands up to :data:`_HOP_WIDTH` frontier nodes at once: it
+pops the best nodes that can still improve a full best-seen set,
+gathers their not-yet-seen out- and in-neighbours, and scores the
+whole batch, in id order, with one ``query_many`` call. Scoring once
+per hop instead of once per node is what keeps the per-call and
+per-hop Python overhead from rivalling the scoring itself.
+
+Nodes expanded together are chosen blind — the later ones before the
+earlier ones' neighbours are scored — so one rule keeps a
+budget-bound walk as good as a one-node-per-hop walk: **a hop takes a
+further node only if its batch, that node's fresh neighbours
+included, stays within half of the evaluations the budget still
+allows.** A node that would overflow goes back to the frontier for a
+later hop. So a tight budget falls back to one node per hop, at most
+half of the remaining budget is ever spent blind, and only a
+single-node hop can outgrow the budget: the budget then keeps a prefix
+of that node's fresh neighbours in id order, exactly as a
+one-node-per-hop walk does.
 
 The in-edge direction comes from the index's **incrementally
 maintained** :class:`~repro.graph.reverse.ReverseAdjacency`
@@ -46,9 +66,9 @@ The walk ships two interchangeable implementations selected by
 ``walk_impl``:
 
 * ``"numpy"`` (default) — array-at-a-time kernels: a reusable
-  visited/excluded bitmap cleared via touched-index lists, one fancy-
-  indexing mask pass per hop over the batched candidate fan-out, a
-  lexsort top-``ef`` seed initialisation, and a vectorised admission
+  visited/excluded bitmap cleared via touched-index lists, each
+  node's sorted out+in adjacency cached per index version, one fancy-
+  indexing mask pass per popped node over that adjacency, a lexsort top-``ef`` seed initialisation, and a vectorised admission
   prefilter in front of an exact scalar tail that preserves the heap's
   tie semantics bit-for-bit.
 * ``"python"`` — the original per-node loop, kept as the **scalar
@@ -56,8 +76,8 @@ The walk ships two interchangeable implementations selected by
   implementations to identical ids, scores, ``evaluations``, ``hops``
   and ``routed`` on randomized indexes and parameter combinations.
 
-Both expand candidates in sorted-id order (``_adjacent``), so budget
-truncation — which keeps a prefix of the per-hop candidate list — is
+Both order candidates by id (``_adjacent``), so budget truncation —
+which keeps a prefix of a single node's fresh neighbours — is
 deterministic regardless of heap slot layout or set iteration order.
 
 Because C² graphs are cluster-local by construction, a handful of hops
@@ -77,11 +97,18 @@ from time import perf_counter
 import numpy as np
 
 from .. import obs
+from ..data.dataset import canonical_profile
 from ..online.index import OnlineIndex
 from ..similarity.engine import SimilarityEngine
 from ..similarity.jaccard import profile_intersections
 
 __all__ = ["SearchResult", "GraphSearcher", "brute_force_top_k"]
+
+# Frontier nodes one hop may expand (scored together in one call).
+# Chosen from a sweep over 1-4 on the read and churn benchmarks
+# (CHANGES.md); a module constant rather than a knob, since the
+# half-budget rule already narrows hops under a tight budget.
+_HOP_WIDTH = 4
 
 
 @dataclass(frozen=True)
@@ -92,7 +119,9 @@ class SearchResult:
         ids: neighbour user ids, best first.
         scores: matching similarities (engine's metric).
         evaluations: similarity evaluations this query charged.
-        hops: beam-search expansions performed (0 = seeds sufficed).
+        hops: scoring rounds of the walk (0 = seeds sufficed). Each
+            hop expands up to ``_HOP_WIDTH`` frontier nodes and scores
+            their gathered neighbours in one ``query_many`` call.
         routed: cluster ids the query's seeds were routed through
             (one per hashing configuration that matched). A re-split
             changes *only* routing — no edges, no profiles — so a
@@ -172,6 +201,7 @@ class GraphSearcher:
         # and a bitmap mid-clear in one walk must not leak into
         # another.
         self._scratch = threading.local()
+        self._adjacency: tuple[int, dict[int, np.ndarray]] = (-1, {})
         self.ef = int(ef)
         self.per_config = int(per_config)
         self.budget = budget
@@ -222,7 +252,7 @@ class GraphSearcher:
             extra_seeds: extra entry points for the walk, e.g. the
                 surviving edges of a degraded row being refilled.
         """
-        profile = np.unique(np.asarray(profile, dtype=np.int64))
+        profile = canonical_profile(profile)
         ef = max(int(ef or self.ef), int(k))
         budget = budget if budget is not None else self.budget
         t0 = perf_counter()
@@ -315,11 +345,13 @@ class GraphSearcher:
     def _walk_core_python(
         self, engine, graph, query, active, excluded, seeds, sims, ef, budget, rev
     ):
-        """The original per-node loop — kept as the differential oracle.
+        """The scalar per-node loop — kept as the differential oracle.
 
         Bounded best-seen set (min-heap on ``(score, -id)``: ties evict
         the larger id so results are deterministic) and expansion
-        frontier (max-heap on ``(-score, id)``).
+        frontier (max-heap on ``(-score, id)``). This core *defines*
+        the hop rule (see :data:`_HOP_WIDTH`); the numpy core mirrors
+        it.
         """
         result: list[tuple[float, int]] = []
         frontier: list[tuple[float, int]] = []
@@ -333,26 +365,42 @@ class GraphSearcher:
         hops = 0
         evals = int(seeds.size)
         while frontier:
-            neg_score, node = heapq.heappop(frontier)
-            if len(result) >= ef and -neg_score < result[0][0]:
-                break  # the best remaining candidate cannot improve the set
-            fresh = [
-                int(v)
-                for v in self._adjacent(graph, node, rev)
-                if int(v) not in visited and active[v] and int(v) not in excluded
-            ]
-            if not fresh:
-                continue
-            if budget is not None and evals + len(fresh) > budget:
-                fresh = fresh[: budget - evals]
+            room = None if budget is None else budget - evals
+            # Gather: pop the best frontier nodes that can still improve
+            # the set, each contributing its not-yet-seen neighbours.
+            batch: list[int] = []
+            taken = 0
+            while frontier and taken < _HOP_WIDTH:
+                neg_score, node = frontier[0]
+                if len(result) >= ef and -neg_score < result[0][0]:
+                    break  # the best remaining candidate cannot improve the set
+                heapq.heappop(frontier)
+                fresh = [
+                    int(v)
+                    for v in self._adjacent(graph, node, rev)
+                    if int(v) not in visited and active[v] and int(v) not in excluded
+                ]
                 if not fresh:
+                    continue
+                if taken and room is not None and 2 * (len(batch) + len(fresh)) > room:
+                    # Over half the remaining budget: a later hop gets it.
+                    heapq.heappush(frontier, (neg_score, node))
+                    break
+                visited.update(fresh)
+                batch += fresh
+                taken += 1
+            if not taken:
+                break
+            batch.sort()
+            if room is not None and len(batch) > room:
+                batch = batch[:room]  # only ever a single node's batch
+                if not batch:
                     break
             hops += 1
-            cands = np.asarray(fresh, dtype=np.int64)
-            batch = engine.query_many(query, cands)
+            cands = np.asarray(batch, dtype=np.int64)
+            scores = engine.query_many(query, cands)
             evals += cands.size
-            visited.update(fresh)
-            for v, s in zip(fresh, batch):
+            for v, s in zip(batch, scores):
                 if len(result) < ef or s > result[0][0]:
                     heapq.heappush(frontier, (-float(s), int(v)))
                     heapq.heappush(result, (float(s), -int(v)))
@@ -366,20 +414,22 @@ class GraphSearcher:
     ):
         """Array-at-a-time walk, bit-equivalent to the python oracle.
 
-        Per hop: one fancy-indexing mask pass filters the batched
-        candidate fan-out against a reusable visited/excluded bitmap
-        (cleared via touched-index lists, never reallocated), one
-        ``query_many`` scores the survivors, and a vectorised
-        ``> current-min`` prefilter shrinks the exact scalar admission
-        tail to the candidates that can actually enter the best-seen
-        set. Candidates stay in sorted-id order throughout, so budget
-        prefix truncation matches the oracle exactly. The best-seen
-        set itself stays a heap: a batched top-ef rebuild would break
-        tie semantics (an incumbent at the current min score must not
-        be evicted by a tying candidate the heap would reject).
+        Per popped node: one fancy-indexing mask pass filters its
+        sorted out+in adjacency (cached per index version) against a
+        reusable visited/excluded bitmap (cleared via touched-index
+        lists, never reallocated). Per hop: one ``query_many`` scores
+        the gathered batch, and a vectorised ``> current-min``
+        prefilter shrinks the exact scalar admission tail to the
+        candidates that can actually enter the best-seen set.
+        Candidates stay in id order, so budget prefix truncation
+        matches the oracle exactly. The best-seen set itself stays a
+        heap: a batched top-ef rebuild would break tie semantics (an
+        incumbent at the current min score must not be evicted by a
+        tying candidate the heap would reject).
         """
         n = active.size
         blocked = self._blocked_bitmap(n)
+        adjacency = self._adjacency_cache()
         touched: list[np.ndarray] = []
         try:
             if excluded:
@@ -404,46 +454,51 @@ class GraphSearcher:
             hops = 0
             evals = int(seeds.size)
             while frontier:
-                neg_score, node = heapq.heappop(frontier)
-                if len(result) >= ef and -neg_score < result[0][0]:
-                    break
-                out, incoming = self._adjacent_parts(graph, node, rev)
-                if incoming is not None and incoming.size:
-                    cands = np.concatenate([out, incoming])  # promotes to int64
-                else:
-                    cands = out
-                fresh = cands[active[cands] & ~blocked[cands]]
-                if fresh.size == 0:
-                    continue
-                # Sorted-unique by hand: same result as np.unique on
-                # these small per-hop arrays at a fraction of the
-                # per-call overhead.
-                fresh.sort()
-                if fresh.size > 1:
-                    keep = np.empty(fresh.size, dtype=bool)
-                    keep[0] = True
-                    np.not_equal(fresh[1:], fresh[:-1], out=keep[1:])
-                    fresh = fresh[keep]
-                if budget is not None and evals + fresh.size > budget:
-                    fresh = fresh[: budget - evals]
+                room = None if budget is None else budget - evals
+                parts: list[np.ndarray] = []
+                taken = gathered = 0
+                while frontier and taken < _HOP_WIDTH:
+                    neg_score, node = frontier[0]
+                    if len(result) >= ef and -neg_score < result[0][0]:
+                        break  # the best remaining candidate cannot improve the set
+                    heapq.heappop(frontier)
+                    fresh = self._fresh_neighbors(
+                        graph, node, rev, active, blocked, adjacency
+                    )
                     if fresh.size == 0:
+                        continue
+                    if taken and room is not None and 2 * (gathered + fresh.size) > room:
+                        # Over half the remaining budget: a later hop gets it.
+                        heapq.heappush(frontier, (neg_score, node))
+                        break
+                    # Blocking at gather time keeps this hop's later
+                    # nodes from re-gathering the same ids.
+                    blocked[fresh] = True
+                    touched.append(fresh)
+                    parts.append(fresh)
+                    taken += 1
+                    gathered += fresh.size
+                if not taken:
+                    break
+                batch = parts[0] if len(parts) == 1 else np.sort(np.concatenate(parts))
+                if room is not None and batch.size > room:
+                    batch = batch[:room]  # only ever a single node's batch
+                    if batch.size == 0:
                         break
                 hops += 1
-                batch = engine.query_many(query, fresh)
-                evals += fresh.size
-                blocked[fresh] = True
-                touched.append(fresh)
+                scores = engine.query_many(query, batch)
+                evals += batch.size
                 if len(result) >= ef:
                     # Admission needs s > current min, and the min only
                     # rises — s > min-before-batch is a sound prefilter.
-                    live = np.flatnonzero(batch > result[0][0])
+                    live = np.flatnonzero(scores > result[0][0])
                     if live.size == 0:
                         continue
-                    fvals = fresh[live].tolist()
-                    svals = batch[live].tolist()
+                    fvals = batch[live].tolist()
+                    svals = scores[live].tolist()
                 else:
-                    fvals = fresh.tolist()
-                    svals = batch.tolist()
+                    fvals = batch.tolist()
+                    svals = scores.tolist()
                 for v, s in zip(fvals, svals):
                     if len(result) < ef or s > result[0][0]:
                         heapq.heappush(frontier, (-s, v))
@@ -484,26 +539,42 @@ class GraphSearcher:
             return None
         return self.index.reverse_index()
 
-    def _adjacent_parts(self, graph, node: int, rev):
-        """``(out, incoming)`` neighbour arrays of ``node``.
+    def _fresh_neighbors(self, graph, node: int, rev, active, blocked, adjacency):
+        """The numpy core's gather: ``node``'s active, unblocked out- and
+        in-neighbours in id order — what the oracle's per-node filter
+        over :meth:`_adjacent` yields. ``adjacency`` caches
+        :meth:`_adjacent` per node (see :meth:`_adjacency_cache`)."""
+        adj = adjacency.get(node)
+        if adj is None:
+            adj = adjacency[node] = self._adjacent(graph, node, rev)
+        return adj[active[adj] & ~blocked[adj]]
 
-        ``incoming`` is ``None`` when in-edges are disabled, else
-        sorted by id. ``out`` is in heap slot order (arbitrary).
+    def _adjacency_cache(self) -> dict[int, np.ndarray]:
+        """Per-node :meth:`_adjacent` arrays for the index's version.
+
+        Every mutation that edits an edge or the active set bumps
+        ``index.version``, so the cache is dropped whole on the first
+        walk after one; walks of one version run under the index's
+        read lock and share it. A read-only index thus sorts each
+        node's adjacency once instead of once per expansion.
         """
-        out = graph.neighbors(node)
-        if rev is None:
-            return out, None
-        return out, rev.holders(node)
+        version = self.index.version
+        cached_version, cache = self._adjacency
+        if cached_version != version:
+            cache = {}
+            self._adjacency = (version, cache)  # one atomic swap
+        return cache
 
     def _adjacent(self, graph, node: int, rev) -> np.ndarray:
         """Neighbours of ``node`` in either edge direction, sorted by id.
 
         Sorted unconditionally: budget truncation keeps a *prefix* of
-        the per-hop candidate list, so candidate order must not depend
+        a node's fresh neighbours, so candidate order must not depend
         on heap slot layout (which varies with mutation history even
         between graphs holding identical edge sets).
         """
-        out, incoming = self._adjacent_parts(graph, node, rev)
+        out = graph.neighbors(node)
+        incoming = None if rev is None else rev.holders(node)
         if incoming is None or incoming.size == 0:
             return np.sort(out)
         return np.unique(np.concatenate([out.astype(np.int64), incoming]))
@@ -554,7 +625,8 @@ class GraphSearcher:
             extra = np.asarray(extra_seeds, dtype=np.int64)
             if extra.size:
                 pools.append(extra[active[extra]])
-        seeds = np.unique(np.concatenate(pools))
+        # Routed seeds arrive sorted-unique; only caller seeds need a merge.
+        seeds = pools[0] if len(pools) == 1 else np.unique(np.concatenate(pools))
         if excluded:
             seeds = seeds[~np.isin(seeds, np.fromiter(excluded, dtype=np.int64))]
         if seeds.size < ef:
@@ -591,7 +663,7 @@ def brute_force_top_k(
         else:
             users = np.arange(engine.n_users, dtype=np.int64)
     users = np.asarray(users, dtype=np.int64)
-    query = engine.prepare_query(np.unique(np.asarray(profile, dtype=np.int64)))
+    query = engine.prepare_query(profile)
     sims = engine.query_many(query, users)
     order = np.lexsort((users, -sims))[: int(k)]
     return SearchResult(

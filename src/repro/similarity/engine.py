@@ -21,7 +21,7 @@ from abc import ABC, abstractmethod
 
 import numpy as np
 
-from ..data.dataset import Dataset
+from ..data.dataset import Dataset, canonical_profile
 from .bloom import BloomFilterTable
 from .cosine import cosine_matrix, cosine_one_to_many, cosine_pair
 from .goldfinger import GoldFinger
@@ -141,7 +141,7 @@ class SimilarityEngine(ABC):
         maintenance work, not a similarity evaluation, so it is not
         counted — exactly like :meth:`update_profile`.
         """
-        profile = np.unique(np.asarray(profile, dtype=np.int64))
+        profile = canonical_profile(profile)
         if profile.size and profile[0] < 0:
             raise ValueError("item ids must be non-negative")
         return self._prepare_query(profile)

@@ -2,11 +2,18 @@
 
 from __future__ import annotations
 
+from types import SimpleNamespace
+
 import numpy as np
 import pytest
 
+from repro import C2Params
 from repro.data import Dataset, SyntheticSpec, generate
 from repro.deltas import DerivedView
+from repro.graph.heap import EMPTY
+from repro.graph.reverse import ReverseAdjacency
+from repro.online import OnlineIndex
+from repro.serve import GraphSearcher
 
 
 def _mutate(index, rng, *, mix=(0.4, 0.25, 0.2), profile_size=12, tail=None) -> int:
@@ -86,6 +93,164 @@ def tap():
     return lambda index, fn, scored=False: index.deltas.register(
         _TapView(fn, scored)
     )
+
+
+def _walk_trace(searcher, profile, **kwargs):
+    """Run ``searcher.top_k`` and record what its walk did.
+
+    Returns ``(result, calls, reads)``. ``calls`` lists every
+    ``query_many`` batch as ``(ids, scores)``; the first is the seed
+    batch, ``calls[h]`` is hop ``h``. ``reads`` lists ``(h, node)`` for
+    every frontier node whose neighbours the walk read before scoring
+    hop ``h``: every node it popped, including one it then pushed back
+    because it would overflow the hop.
+    """
+    engine = searcher.index.engine
+    calls: list[tuple[np.ndarray, np.ndarray]] = []
+    reads: list[tuple[int, int]] = []
+    # Where each core reads one node's neighbours.
+    reader = "_fresh_neighbors" if searcher.walk_impl == "numpy" else "_adjacent"
+    query_many, read = engine.query_many, getattr(searcher, reader)
+
+    def traced_query_many(query, users):
+        scores = query_many(query, users)
+        calls.append((np.array(users, dtype=np.int64), np.array(scores)))
+        return scores
+
+    def traced_read(graph, node, *rest):
+        reads.append((len(calls), int(node)))
+        return read(graph, node, *rest)
+
+    engine.query_many = traced_query_many
+    setattr(searcher, reader, traced_read)
+    try:
+        result = searcher.top_k(profile, **kwargs)
+    finally:
+        del engine.query_many
+        delattr(searcher, reader)
+    return result, calls, reads
+
+
+@pytest.fixture()
+def walk_trace():
+    """``walk_trace(searcher, profile, **top_k_kwargs)``, see :func:`_walk_trace`."""
+    return _walk_trace
+
+
+def _hop_gather(index, calls, reads, hop, room=None):
+    """Replay the hop rule for hop ``hop`` of a python-core trace.
+
+    Returns ``[(node, fresh), ...]`` for the nodes the hop took, in
+    pop order: ``fresh`` is the node's neighbours not seen before the
+    hop and not gathered by an earlier node of it, in id order. A node
+    whose fresh neighbours would push the batch past half of ``room``
+    (the evaluations the budget still allowed; ``None`` = unbounded)
+    is not taken and ends the hop. Assumes a walk without exclusions
+    over the index as it is now.
+    """
+    seen = {int(v) for ids, _ in calls[:hop] for v in ids}
+    active = index.dataset.active_mask()
+    rev = index.reverse_index()
+    taken, gathered = [], 0
+    for h, node in reads:
+        if h != hop:
+            continue
+        adjacent = set(index.graph.neighbors(node).tolist())
+        adjacent |= set(rev.holders(node).tolist())
+        fresh = [v for v in sorted(adjacent) if v not in seen and active[v]]
+        if not fresh:
+            continue
+        if taken and room is not None and 2 * (gathered + len(fresh)) > room:
+            break
+        taken.append((node, fresh))
+        gathered += len(fresh)
+        seen.update(fresh)
+    return taken
+
+
+@pytest.fixture()
+def hop_gather():
+    """``hop_gather(index, calls, reads, hop, room=None)``, see :func:`_hop_gather`."""
+    return _hop_gather
+
+
+def _planted_hub(seed=0, permute_slots=False):
+    """A 40-user index with a hand-planted graph whose second-best seed
+    is a hub.
+
+    Users are ranked by similarity to ``query`` (rank ``r`` scores
+    ``(40 - r) / 41``); ``seed`` relabels ranks to user ids at random,
+    ``permute_slots`` shuffles every heap row's slot layout. The walk
+    seeds with ranks 0 and 1 at ``ef = 2``. Rank 0 holds edges to
+    ranks 30 and 31; rank 1 is a hub holding ranks 20-23 and held by
+    ranks 24-39, so it brings 18 more fresh neighbours. The first hop
+    takes both nodes only when their 20 ids fit in half of the
+    ``room`` evaluations left after the seeds; otherwise the hub waits
+    for a second hop of its own, which a ``room`` under 20 truncates.
+
+    Returns a namespace: ``heaps``; ``first`` and ``hub``, the two
+    nodes' fresh ids in id order; and ``walk(walk_impl, room)``, which
+    runs that walk core directly and returns ``(pool, hops,
+    evaluations, batches)`` with ``batches`` the id arrays its hops
+    scored (the seeds are scored beforehand, so ``batches[0]`` is the
+    first hop).
+    """
+    n = 40
+    rng = np.random.default_rng(seed)
+    user = rng.permutation(n) if seed else np.arange(n)  # rank -> user id
+    profiles = [None] * n
+    for rank in range(n):
+        profiles[user[rank]] = list(range(n - rank)) + [1000 + rank]
+    dataset = Dataset.from_profiles(profiles, n_items=1000 + n)
+    params = C2Params(k=4, n_buckets=16, n_hashes=2, split_threshold=60, seed=1)
+    index = OnlineIndex.build(dataset, params=params, backend="exact")
+    heaps = index.graph.heaps
+    heaps.ids[:] = EMPTY
+    heaps.scores[:] = -np.inf
+    rows = {0: [30, 31], 1: [20, 21, 22, 23]}
+    rows.update({rank: [1] for rank in range(24, n)})
+    for rank, held in rows.items():
+        ids = np.full(heaps.k, EMPTY, dtype=heaps.ids.dtype)
+        ids[: len(held)] = user[held]
+        scores = np.where(ids == EMPTY, -np.inf, 0.5)
+        order = rng.permutation(heaps.k) if permute_slots else np.arange(heaps.k)
+        heaps.ids[user[rank]] = ids[order]
+        heaps.scores[user[rank]] = scores[order]
+    query = index.engine.prepare_query(np.arange(n))
+    seeds = np.sort(user[[0, 1]]).astype(np.int64)
+    sims = index.engine.query_many(query, seeds)
+    first = sorted(user[[30, 31]].tolist())
+    hub = sorted(set(user[20:n].tolist()) - set(first))
+    rev = ReverseAdjacency.from_heaps(heaps)
+    searcher = GraphSearcher(index)
+    engine = index.engine
+
+    def walk(walk_impl, room):
+        core = getattr(searcher, f"_walk_core_{walk_impl}")
+        batches = []
+        query_many = engine.query_many
+
+        def traced(q, users):
+            batches.append(np.array(users, dtype=np.int64))
+            return query_many(q, users)
+
+        engine.query_many = traced
+        try:
+            pool, hops, evals = core(
+                engine, index.graph, query, index.dataset.active_mask(), set(),
+                seeds, sims, 2, seeds.size + room, rev,
+            )
+        finally:
+            del engine.query_many
+        return pool, hops, evals, batches
+
+    return SimpleNamespace(heaps=heaps, first=first, hub=hub, walk=walk)
+
+
+@pytest.fixture()
+def planted_hub():
+    """``planted_hub(seed=0, permute_slots=False)``, see :func:`_planted_hub`."""
+    return _planted_hub
 
 
 @pytest.fixture(scope="session")

@@ -4,6 +4,7 @@ import numpy as np
 import pytest
 
 from repro.data import Dataset
+from repro.data.dataset import canonical_profile
 
 
 class TestConstruction:
@@ -123,3 +124,22 @@ class TestSubset:
     def test_subset_empty(self, tiny_dataset):
         sub = tiny_dataset.subset(np.array([], dtype=np.int64))
         assert sub.n_users == 0
+
+
+class TestCanonicalProfile:
+    @pytest.mark.parametrize(
+        "raw",
+        [[], [7], [5, 1, 5, 3], (2, 2, 2), np.array([9, 0, 4], dtype=np.int32),
+         np.array([[3, 1], [1, 2]])],
+    )
+    def test_equals_np_unique_on_raw_input(self, raw):
+        got = canonical_profile(raw)
+        want = np.unique(np.asarray(raw, dtype=np.int64))
+        assert got.dtype == np.int64 and got.ndim == 1
+        assert np.array_equal(got, want)
+
+    def test_canonical_input_returned_as_is(self):
+        canon = np.array([1, 4, 9], dtype=np.int64)
+        assert canonical_profile(canon) is canon
+        # Sorted but with a repeat is not canonical: deduplicated.
+        assert np.array_equal(canonical_profile(np.array([1, 4, 4])), [1, 4])

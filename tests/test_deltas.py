@@ -160,6 +160,43 @@ class TestDeltaBus:
         assert delta.edges and all(len(e) == 3 for e in delta.edges)
         assert delta.resplit is None
 
+    def test_scored_export_matches_per_edge_lookup(self, index, rng):
+        """The vectorised edge annotation equals the per-edge heap-row
+        lookup it replaced, value and type, on every delta of a tape."""
+
+        def per_edge(heaps, journal):
+            edges = []
+            for u, v, added in journal:
+                score = 0.0
+                if added:
+                    slot = np.flatnonzero(heaps.ids[u] == v)
+                    if slot.size:
+                        score = float(heaps.scores[u, int(slot[0])])
+                edges.append((int(u), int(v), bool(added), score))
+            return edges
+
+        checked = []
+
+        class _Check(_Recorder):
+            name = "check"
+            needs_scored = True
+
+            def apply(self, delta):
+                # Delivered right after the mutation: the heap is the
+                # post-mutation state the export read.
+                want = per_edge(index.graph.heaps, delta.edges)
+                got = delta.replica.edges
+                assert got == want
+                assert [tuple(map(type, e)) for e in got] == [
+                    tuple(map(type, e)) for e in want
+                ]
+                checked.append(sum(1 for e in want if e[2] and e[3] != 0.0))
+
+        view = index.deltas.register(_Check())
+        _churn(index, rng, n=40)
+        view.close()
+        assert len(checked) > 10 and sum(checked) > 0  # scored adds were compared
+
     def test_bus_resync_counts_and_fast_forwards(self, index):
         view = index.deltas.register(_Recorder())
         view.seq = -1  # simulate a gap

@@ -68,6 +68,13 @@ def _assert_identical(a, b, ctx=""):
     assert a.routed == b.routed, f"routed diverges {ctx}"
 
 
+def _assert_same_batches(calls_a, calls_b, ctx=""):
+    """Both cores scored the same ids in the same order, hop by hop."""
+    assert len(calls_a) == len(calls_b), f"hop counts diverge {ctx}"
+    for (ids_a, _), (ids_b, _) in zip(calls_a, calls_b):
+        assert np.array_equal(ids_a, ids_b), f"hop batches diverge {ctx}"
+
+
 def _pair(index, **kwargs):
     return (
         GraphSearcher(index, walk_impl="numpy", **kwargs),
@@ -77,7 +84,7 @@ def _pair(index, **kwargs):
 
 @pytest.mark.parametrize("seed", SEEDS)
 @pytest.mark.parametrize("backend", ["exact", "goldfinger"])
-def test_numpy_equals_python_across_parameter_grid(seed, backend, mutate):
+def test_numpy_equals_python_across_parameter_grid(seed, backend, mutate, walk_trace):
     """Random tapes + random k/ef/budget/exclude/extra_seeds combos."""
     index = _index(seed, backend=backend)
     rng = np.random.default_rng(seed + 11)
@@ -102,19 +109,20 @@ def test_numpy_equals_python_across_parameter_grid(seed, backend, mutate):
                 if trial % 2
                 else None
             )
-            a = s_np.top_k(
-                profile, k=k, ef=ef, budget=budget,
+            a, calls_a, _ = walk_trace(
+                s_np, profile, k=k, ef=ef, budget=budget,
                 exclude=exclude, extra_seeds=extra,
             )
-            b = s_py.top_k(
-                profile, k=k, ef=ef, budget=budget,
+            b, calls_b, _ = walk_trace(
+                s_py, profile, k=k, ef=ef, budget=budget,
                 exclude=exclude, extra_seeds=extra,
             )
             _assert_identical(a, b, f"(rerank={rerank} trial={trial})")
+            _assert_same_batches(calls_a, calls_b, f"(rerank={rerank} trial={trial})")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_numpy_equals_python_under_interleaved_mutations(seed, mutate):
+def test_numpy_equals_python_under_interleaved_mutations(seed, mutate, walk_trace):
     """Equivalence must hold at every intermediate index state."""
     index = _index(seed)
     s_np, s_py = _pair(index)
@@ -123,9 +131,10 @@ def test_numpy_equals_python_under_interleaved_mutations(seed, mutate):
         mutate(index, rng, **_OPS)
         profile = _random_profile(index, rng)
         budget = None if step % 2 else int(rng.integers(10, 120))
-        a = s_np.top_k(profile, k=K, budget=budget)
-        b = s_py.top_k(profile, k=K, budget=budget)
+        a, calls_a, _ = walk_trace(s_np, profile, k=K, budget=budget)
+        b, calls_b, _ = walk_trace(s_py, profile, k=K, budget=budget)
         _assert_identical(a, b, f"(step={step})")
+        _assert_same_batches(calls_a, calls_b, f"(step={step})")
 
 
 @pytest.mark.parametrize("seed", SEEDS)
@@ -192,3 +201,71 @@ def test_numpy_equals_python_after_resplit(seed):
         a = s_np.top_k(profile, k=K)
         b = s_py.top_k(profile, k=K)
         _assert_identical(a, b)
+
+
+# ----------------------------------------------------------------------
+# The hop rule: several frontier nodes per hop, scored in one call
+# ----------------------------------------------------------------------
+
+
+def _planted_batches(planted, room):
+    """The hop batches the rule prescribes on the planted-hub graph."""
+    if 2 * (len(planted.first) + len(planted.hub)) <= room:
+        return [sorted(planted.first + planted.hub)]  # both fit: one hop
+    # The hub would overflow half the room: it waits for its own hop,
+    # where the budget keeps a prefix of its fresh ids in id order.
+    rest = room - len(planted.first)
+    return [planted.first] + ([planted.hub[:rest]] if rest > 0 else [])
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+def test_hop_takes_a_node_only_within_half_the_budget(seed, planted_hub):
+    """A node joins a hop only if the batch stays within half of the
+    remaining budget; one that would overflow waits for a hop of its
+    own, which the budget may truncate — and both cores score the
+    very same batches."""
+    planted = planted_hub(seed)
+    outcomes = set()
+    for room in range(2, 50):
+        py = planted.walk("python", room)
+        vec = planted.walk("numpy", room)
+        want = _planted_batches(planted, room)
+        assert [b.tolist() for b in py[3]] == want, f"room={room}"
+        assert py[1:3] == (len(want), 2 + sum(map(len, want)))
+        assert vec[:3] == py[:3]
+        assert [b.tolist() for b in vec[3]] == want
+        if len(want) == 1:
+            outcomes.add("one wide hop" if len(want[0]) > 2 else "out of budget")
+        else:
+            outcomes.add("hub waits" if want[1] == planted.hub else "hub truncated")
+    assert outcomes == {"one wide hop", "hub waits", "hub truncated", "out of budget"}
+
+
+@pytest.mark.parametrize("seed", SEEDS)
+@pytest.mark.parametrize("walk_impl", ["numpy", "python"])
+def test_no_hop_expands_a_node_that_cannot_improve(seed, walk_impl, mutate, walk_trace):
+    """Every node a hop reads scored at least the ef-th best score seen
+    before that hop: a node that cannot improve a full best-seen set
+    is never expanded, not even as a hop's second to fourth node."""
+    index = _index(seed)
+    rng = np.random.default_rng(seed + 83)
+    for _ in range(15):
+        mutate(index, rng, **_OPS)
+    searcher = GraphSearcher(index, walk_impl=walk_impl)
+    checked = 0
+    for trial in range(12):
+        profile = _random_profile(index, rng)
+        ef = int(rng.integers(K, 24))  # top_k raises ef to at least k
+        budget = (None, int(rng.integers(20, 150)))[trial % 2]
+        _, calls, reads = walk_trace(searcher, profile, k=K, ef=ef, budget=budget)
+        score_of = {int(v): float(s) for ids, sc in calls for v, s in zip(ids, sc)}
+        for hop, node in reads:
+            before = np.concatenate([sc for _, sc in calls[:hop]])
+            if before.size < ef:
+                continue  # the best-seen set is not full yet
+            threshold = np.sort(before)[::-1][ef - 1]  # its current minimum
+            assert score_of[node] >= threshold, (
+                f"hop {hop} expanded {node} ({score_of[node]}) below {threshold}"
+            )
+            checked += 1
+    assert checked > 0

@@ -197,6 +197,76 @@ def test_results_invariant_under_heap_slot_permutation(walk_impl):
         assert a.hops == b.hops
 
 
+@pytest.mark.parametrize("walk_impl", ["numpy", "python"])
+@pytest.mark.parametrize("seed", [0, 5])
+def test_hop_batches_invariant_under_slot_permutation(walk_impl, seed, planted_hub):
+    """Whether a node joins a hop, waits for its own, or is cut by the
+    budget depends on the edge sets only, never on the order the heap
+    rows store their slots in."""
+    a = planted_hub(seed)
+    b = planted_hub(seed, permute_slots=True)
+    assert a.heaps.edge_sets() == b.heaps.edge_sets()
+    assert not np.array_equal(a.heaps.ids, b.heaps.ids)
+    truncated = 0
+    for room in range(2, 50):
+        pool_a, hops_a, evals_a, batches_a = a.walk(walk_impl, room)
+        pool_b, hops_b, evals_b, batches_b = b.walk(walk_impl, room)
+        assert (pool_a, hops_a, evals_a) == (pool_b, hops_b, evals_b)
+        assert [x.tolist() for x in batches_a] == [x.tolist() for x in batches_b]
+        if len(batches_a) == 2 and batches_a[1].tolist() != a.hub:
+            assert batches_a[1].tolist() == a.hub[: batches_a[1].size]
+            truncated += 1
+    assert truncated > 0
+
+
+@pytest.mark.parametrize("walk_impl", ["numpy", "python"])
+def test_tight_budget_expands_one_node_per_hop(
+    walk_impl, walk_trace, hop_gather, monkeypatch
+):
+    """A hop takes another node only while its batch stays within half
+    of the remaining budget. So when every hop's first node alone
+    brings more than that, each hop expands exactly one node and the
+    walk is the one-node-per-hop walk, batch for batch."""
+    from repro.serve import searcher as searcher_module
+
+    index = _index()
+    oracle = GraphSearcher(index, ef=16, walk_impl="python")
+    searcher = GraphSearcher(index, ef=16, walk_impl=walk_impl)
+    rng = np.random.default_rng(31)
+    tight_walks = multi_node_hops = 0
+    for _ in range(10):
+        profile = rng.integers(0, index.dataset.n_items, size=8)
+        _, calls, _ = walk_trace(oracle, profile, k=K)
+        n_seeds = calls[0][0].size
+        for budget in range(n_seeds + 1, n_seeds + 40, 3):
+            _, calls, reads = walk_trace(oracle, profile, k=K, budget=budget)
+            tight = True
+            for hop in range(1, len(calls)):
+                room = budget - sum(ids.size for ids, _ in calls[:hop])
+                taken = hop_gather(index, calls, reads, hop, room)
+                batch = sorted(v for _, fresh in taken for v in fresh)
+                assert calls[hop][0].tolist() == batch[:room]  # replay agrees
+                if len(taken) > 1:
+                    assert 2 * len(batch) <= room  # the rule itself
+                    multi_node_hops += 1
+                tight &= 2 * len(taken[0][1]) > room
+            if not tight:
+                continue
+            tight_walks += len(calls) > 2
+            wide, wide_calls, _ = walk_trace(searcher, profile, k=K, budget=budget)
+            with monkeypatch.context() as m:
+                m.setattr(searcher_module, "_HOP_WIDTH", 1)
+                one, one_calls, _ = walk_trace(searcher, profile, k=K, budget=budget)
+            assert np.array_equal(wide.ids, one.ids)
+            assert np.array_equal(wide.scores, one.scores)
+            assert (wide.evaluations, wide.hops) == (one.evaluations, one.hops)
+            assert [ids.tolist() for ids, _ in wide_calls] == [
+                ids.tolist() for ids, _ in one_calls
+            ]
+    assert tight_walks >= 5, "too few tight walks with several hops"
+    assert multi_node_hops > 0, "the budgets never allowed a multi-node hop"
+
+
 # ----------------------------------------------------------------------
 # Tie-breaking
 # ----------------------------------------------------------------------
