@@ -1,6 +1,6 @@
 """Benchmark harness: workloads, runner, table reporting."""
 
-from .report import emit, emit_json, format_table, results_dir
+from .report import emit, format_table, results_dir
 from .scenarios import (
     SCENARIOS,
     DriftTracker,
@@ -22,9 +22,11 @@ from .runner import (
 from .workloads import (
     Workload,
     bench_scale,
+    build_workload,
     paper_workload,
     scale_split_threshold,
     scaled_c2_params,
+    serving_params,
 )
 
 __all__ = [
@@ -38,8 +40,8 @@ __all__ = [
     "SimWorld",
     "Workload",
     "bench_scale",
+    "build_workload",
     "emit",
-    "emit_json",
     "make_scenario",
     "play",
     "evaluate_run",
@@ -51,4 +53,5 @@ __all__ = [
     "run_algorithm",
     "scale_split_threshold",
     "scaled_c2_params",
+    "serving_params",
 ]

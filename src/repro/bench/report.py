@@ -8,11 +8,10 @@ survives pytest capture.
 
 from __future__ import annotations
 
-import json
 from pathlib import Path
 from typing import Iterable, Sequence
 
-__all__ = ["format_table", "emit", "emit_json", "results_dir"]
+__all__ = ["format_table", "emit", "results_dir"]
 
 
 def format_table(rows: Sequence[dict], title: str | None = None) -> str:
@@ -70,31 +69,3 @@ def emit(name: str, *blocks: str | Iterable[dict]) -> str:
     print(f"\n{'=' * 72}\n{name}\n{'=' * 72}\n{text}\n")
     (results_dir() / f"{name}.txt").write_text(text + "\n", encoding="utf-8")
     return text
-
-
-def emit_json(run: str, metrics: dict, benchmark: str = "serving") -> Path:
-    """Merge one run's metrics into the ``BENCH_<benchmark>.json`` trajectory.
-
-    The machine-readable sibling of :func:`emit`: a benchmark records
-    its headline numbers (throughput, recall, maintenance cost, the
-    acceptance verdict) under a stable run key so CI can upload the
-    file as an artifact and a perf gate can diff it against committed
-    floors — text reports are for humans, this file is for tooling.
-    Read-modify-write: several invocations (``--smoke``, ``--mixed``,
-    ``--restart``) accumulate into one file. Returns the path
-    (repository root, next to the committed full-run copy).
-    """
-    path = results_dir().parent / f"BENCH_{benchmark}.json"
-    payload: dict = {"benchmark": benchmark, "schema": 1, "runs": {}}
-    if path.exists():
-        try:
-            existing = json.loads(path.read_text(encoding="utf-8"))
-            if isinstance(existing.get("runs"), dict):
-                payload["runs"] = existing["runs"]
-        except (OSError, ValueError):
-            pass  # a torn file never blocks recording fresh numbers
-    payload["runs"][run] = metrics
-    path.write_text(
-        json.dumps(payload, indent=2, sort_keys=True) + "\n", encoding="utf-8"
-    )
-    return path

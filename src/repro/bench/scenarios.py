@@ -1,20 +1,14 @@
 """Adversarial & time-evolving serving workloads with drift tracking.
 
-:class:`~repro.bench.workloads.MixedWorkload` pins down *one* traffic
-shape — a uniform 90/10 read/write tape — and leaves resolving each op
-against live state to the caller, which historically sampled query and
-mutation targets from the **initial** id range (silently touching
-deleted ids late in a tape). This module is the scenario suite that
-replaces that: a :class:`Scenario` is a seeded generator of fully
-resolved :class:`Op` records, sampled against a :class:`World` view of
-the *live* id set, so every op targets a user that exists at the
-moment the op is drawn.
+A :class:`Scenario` is a seeded generator of fully resolved
+:class:`Op` records, sampled against a :class:`World` view of the
+*live* id set, so every op targets a user that exists at the moment
+the op is drawn (never a deleted id from the initial range).
 
 Concrete scenarios cover the traffic shapes the paper's static
 evaluation never exercises:
 
-* :class:`UniformMixed` — the 90/10 tape, live-id sound (the direct
-  replacement for resolving ``MixedWorkload.kinds()`` by hand);
+* :class:`UniformMixed` — a uniform 90/10 read/write tape;
 * :class:`ZipfianQueries` — read-heavy traffic whose query popularity
   follows a Zipf law (cache hit-rate cliffs live here);
 * :class:`FlashCrowd` — periodic bursts of *correlated* signups cloned
@@ -32,8 +26,7 @@ Quality is tracked **over the stream**, not just at the endpoint:
 :class:`DriftTracker` probes a fixed held-out query set every
 ``window`` ops against a brute-force oracle on the *current* index
 state and records a recall drift curve (plus the worst-window floor
-the CI gate holds). ``benchmarks/bench_serving.py --scenario <name>``
-drives all of this end to end.
+``tests/test_serving_floors.py`` holds for every scenario).
 """
 
 from __future__ import annotations
@@ -65,9 +58,8 @@ __all__ = [
 class Op:
     """One fully resolved workload operation.
 
-    Unlike ``MixedWorkload.kinds()`` (bare kind strings the caller
-    resolves), an ``Op`` carries its concrete target and payload, so a
-    tape can be replayed bit-identically against different serving
+    An ``Op`` carries its concrete target and payload, so a tape can
+    be replayed bit-identically against different serving
     configurations.
 
     Attributes:
@@ -359,12 +351,11 @@ def _norm_weights(*weights: float) -> np.ndarray:
 
 @dataclass(frozen=True)
 class UniformMixed(Scenario):
-    """The 90/10 tape of ``MixedWorkload``, resolved live-id-soundly.
+    """Uniform mixed traffic: 90% queries, 10% writes.
 
-    Same op mix as the PR-3 write-storm benchmark (60/25/15 write
-    split), but every target is drawn from the live id set at the
-    moment the op executes — the fix for the initial-id-range blind
-    spot called out in ISSUE 6.
+    Writes split 60/25/15 across profile updates, signups and
+    departures; every target is drawn from the live id set at the
+    moment the op executes.
     """
 
     name: ClassVar[str] = "mixed"

@@ -8,6 +8,11 @@ parameter whose meaning is *per-user-count* — the split threshold
 and kept at paper values: ``b`` interacts with profile sizes (the
 probability a user lands in a given bucket is ``~|P_u|/b``) which do
 not scale, and ``t``, ``k``, ``δ``, ``ρ`` are ratios.
+
+:func:`build_workload` and :func:`serving_params` are the serving
+floors' population (``tests/test_serving_floors.py`` and
+``benchmarks/bench_serving.py``): a community-structured index plus
+held-out query profiles.
 """
 
 from __future__ import annotations
@@ -15,18 +20,19 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
-import numpy as np
-
 from ..core.config import C2Params, paper_params
+from ..data.dataset import Dataset
 from ..data.registry import DEFAULT_SCALE
+from ..data.synthetic import SyntheticSpec, generate
 
 __all__ = [
-    "MixedWorkload",
     "Workload",
     "bench_scale",
+    "build_workload",
     "paper_workload",
     "scale_split_threshold",
     "scaled_c2_params",
+    "serving_params",
 ]
 
 # Environment override so the full suite can be re-run at other scales
@@ -85,60 +91,6 @@ class Workload:
         )
 
 
-@dataclass(frozen=True)
-class MixedWorkload:
-    """An interleaved read/write serving workload (not from the paper).
-
-    The paper's benchmarks build graphs; the serving subsystem's worst
-    case is *mixed* traffic — queries racing mutations, where every
-    write used to cost the read path a full reverse-index rebuild and
-    a cold cache. This workload pins that scenario down: a
-    deterministic sequence of operation kinds (default 90% reads, 10%
-    writes split across profile updates, signups and departures),
-    drawn up front from the seed so the same op tape can be replayed
-    against different serving configurations. The caller resolves each
-    kind against live state (which user to touch, which profile to
-    query) with its own seeded RNG.
-
-    .. note::
-       Resolving targets is the caller's job, and the historical
-       callers drew query users uniformly from the *initial* id range
-       — silently querying deleted ids late in a tape. The scenario
-       suite (:mod:`repro.bench.scenarios`) supersedes this class for
-       new workloads: :class:`~repro.bench.scenarios.UniformMixed` is
-       the same 90/10 mix with every target resolved against the live
-       id set at execution time.
-    """
-
-    n_ops: int = 1000
-    read_fraction: float = 0.9
-    add_items_weight: float = 0.60  # write mix: profile updates
-    add_user_weight: float = 0.25   # write mix: signups
-    remove_user_weight: float = 0.15  # write mix: departures
-    seed: int = 0
-
-    def kinds(self) -> list[str]:
-        """The deterministic operation tape, e.g. ``["query", "add_items", ...]``."""
-        rng = np.random.default_rng(self.seed)
-        weights = np.array(
-            [self.add_items_weight, self.add_user_weight, self.remove_user_weight],
-            dtype=np.float64,
-        )
-        weights = weights / weights.sum()
-        reads = rng.random(self.n_ops) < self.read_fraction
-        writes = rng.choice(
-            np.array(["add_items", "add_user", "remove_user"]),
-            size=self.n_ops,
-            p=weights,
-        )
-        return ["query" if r else str(w) for r, w in zip(reads, writes)]
-
-    @property
-    def n_reads(self) -> int:
-        """Queries in the tape (exact count, not the expectation)."""
-        return sum(kind == "query" for kind in self.kinds())
-
-
 def paper_workload(
     dataset_name: str,
     scale: float | None = None,
@@ -151,4 +103,43 @@ def paper_workload(
         scale=bench_scale() if scale is None else scale,
         n_workers=n_workers,
         seed=seed,
+    )
+
+
+def build_workload(n_users: int, n_queries: int, seed: int):
+    """A serving population plus ``n_queries`` held-out query profiles.
+
+    Not from the paper: the serving floors' workload. Queries are
+    extra users of the same synthetic communities, so they are out of
+    the index but statistically indistinguishable from signups.
+    Returns ``(dataset, queries)``.
+    """
+    spec = SyntheticSpec(
+        name=f"serve{n_users}",
+        n_users=n_users + n_queries,
+        n_items=max(400, int(0.8 * n_users)),
+        mean_profile_size=40.0,
+        n_communities=max(8, n_users // 62),
+        community_pool_size=120,
+        community_affinity=0.95,
+        min_profile_size=15,
+    )
+    full = generate(spec, seed=seed)
+    dataset = Dataset.from_profiles(
+        [full.profile(u) for u in range(n_users)],
+        n_items=full.n_items,
+        name=spec.name,
+    )
+    queries = [full.profile(u) for u in range(n_users, n_users + n_queries)]
+    return dataset, queries
+
+
+def serving_params(n_users: int) -> C2Params:
+    """C² parameters of the :func:`build_workload` index."""
+    return C2Params(
+        k=16,
+        n_buckets=1024 if n_users > 2000 else 128,
+        n_hashes=8,
+        split_threshold=max(60, n_users // 16),
+        seed=1,
     )

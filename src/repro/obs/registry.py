@@ -20,7 +20,7 @@ observing different histograms never contend. A registry created with
 ``enabled=False`` hands out shared null metrics whose methods are
 no-ops — the instrumented hot paths keep their handles and pay one
 attribute call, which is what keeps the measured overhead of the whole
-telemetry layer under the 5% gate (``bench_serving.py --mixed``).
+telemetry layer under its 5% ceiling (``benchmarks/bench_serving.py``).
 """
 
 from __future__ import annotations

@@ -28,7 +28,8 @@ dead process's log onto its last snapshot.
 
 Recovery cost is O(snapshot unpickle + |tail deltas|) — at 5k users
 better than an order of magnitude under a cold rebuild, with exact
-edge-set parity (``benchmarks/bench_serving.py --restart``).
+edge-set parity (``tests/test_serving_floors.py`` checks parity,
+``benchmarks/bench_serving.py`` times the restart).
 """
 
 from __future__ import annotations

@@ -82,7 +82,8 @@ deterministic regardless of heap slot layout or set iteration order.
 
 Because C² graphs are cluster-local by construction, a handful of hops
 reaches the true neighbourhood: recall@10 ≥ 0.9 of a brute-force scan
-at a few percent of its evaluations (``benchmarks/bench_serving.py``).
+at a few percent of its evaluations (perfbench's ``read`` workload;
+``tests/test_serving_floors.py`` holds the recall floor).
 """
 
 from __future__ import annotations
@@ -152,10 +153,6 @@ class GraphSearcher:
             configuration (deterministically subsampled).
         budget: optional hard cap on similarity evaluations per query;
             the walk stops early rather than exceed it.
-        use_reverse_edges: also expand along in-edges, read from the
-            index's maintained
-            :meth:`~repro.online.OnlineIndex.reverse_index` (default;
-            see module docstring). Disable to walk out-edges only.
         rerank: ``"exact"`` re-scores the final frontier with exact
             similarities over raw profiles before truncating to ``k``
             (counted; recovers estimate-backend recall). ``None``
@@ -180,7 +177,6 @@ class GraphSearcher:
         ef: int = 32,
         per_config: int = 16,
         budget: int | None = None,
-        use_reverse_edges: bool = True,
         rerank: str | None = None,
         walk_impl: str | None = None,
         registry=None,
@@ -205,7 +201,6 @@ class GraphSearcher:
         self.ef = int(ef)
         self.per_config = int(per_config)
         self.budget = budget
-        self.use_reverse_edges = bool(use_reverse_edges)
         self.rerank = rerank
         reg = registry if registry is not None else obs.metrics()
         self.tracer = tracer if tracer is not None else obs.tracer()
@@ -529,14 +524,9 @@ class GraphSearcher:
         return buf
 
     def _reverse_source(self):
-        """Where this walk reads in-edges from (None = out-edges only).
-
-        The index's maintained
+        """Where this walk reads in-edges from: the index's maintained
         :class:`~repro.graph.reverse.ReverseAdjacency` (built once,
-        patched per mutation).
-        """
-        if not self.use_reverse_edges:
-            return None
+        patched per mutation)."""
         return self.index.reverse_index()
 
     def _fresh_neighbors(self, graph, node: int, rev, active, blocked, adjacency):
@@ -574,8 +564,8 @@ class GraphSearcher:
         between graphs holding identical edge sets).
         """
         out = graph.neighbors(node)
-        incoming = None if rev is None else rev.holders(node)
-        if incoming is None or incoming.size == 0:
+        incoming = rev.holders(node)
+        if incoming.size == 0:
             return np.sort(out)
         return np.unique(np.concatenate([out.astype(np.int64), incoming]))
 

@@ -67,8 +67,8 @@ def test_c2_beats_brute_force_cost(medium_dataset):
 # Serving-path floors (seed=5, 30 held-out queries on medium_dataset,
 # measured: plain GoldFinger walk 0.697, with exact frontier
 # re-ranking 0.937 — the rerank recovers the recall estimate noise
-# costs; at this small scale the noise is far worse than the ~5 points
-# seen at 5k users, see benchmarks/bench_serving.py --mixed).
+# costs; at this small scale the noise is far worse than the 10 points
+# the last full 5k-user run measured, see docs/benchmarks.md).
 SERVING_RERANK_FLOOR = 0.90
 SERVING_RERANK_MIN_GAIN = 0.03
 

@@ -10,8 +10,7 @@ Two checks over ``README.md`` and every ``docs/*.md``:
 2. **Referenced CLI flags exist.** Every ``--flag`` token the docs
    mention must appear in the ``--help`` output of one of the
    project's command-line surfaces: the ``python -m repro``
-   subcommands, ``benchmarks/bench_serving.py``,
-   ``benchmarks/perf_gate.py`` and this script. The help texts are
+   subcommands and this script. The help texts are
    scraped live, so a flag renamed in ``argparse`` but not in the docs
    (or vice versa) fails here.
 
@@ -111,8 +110,6 @@ def known_flags() -> set[str]:
     """Every ``--flag`` any documented CLI surface actually accepts."""
     surfaces = [
         [sys.executable, "-m", "repro", "--help"],
-        [sys.executable, str(ROOT / "benchmarks" / "bench_serving.py"), "--help"],
-        [sys.executable, str(ROOT / "benchmarks" / "perf_gate.py"), "--help"],
         [sys.executable, str(ROOT / "tools" / "check_docs.py"), "--help"],
     ]
     top = _help_text(surfaces[0])
