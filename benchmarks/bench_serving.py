@@ -3,12 +3,13 @@
 Not a figure from the paper, which stops at building graphs. This
 module times the serving stack on the workload of
 ``tests/test_serving_floors.py``: the
-:func:`~repro.bench.workloads.build_workload` population (400 users,
-40 held-out queries, seed 11), walked with k=10, ef=32 and a budget
-of 192 evaluations, under the same tapes. That module asserts the
-count and quality floors (recall, state parity, re-split and rebuild
-ceilings). This one asserts only wall-clock floors, so it is not part
-of tier-1. CI runs it after the tier-1 suite::
+:func:`~repro.bench.workloads.serving_workload` population (400
+users, 40 held-out queries, seed 11), walked with ``SERVING_WALK``
+(k=10, ef=32, a budget of 192 evaluations), under the same tapes.
+That module asserts the count and quality floors (recall, state
+parity, re-split and rebuild ceilings). This one asserts only
+wall-clock floors, so it is not part of tier-1. CI runs it after the
+tier-1 suite::
 
     PYTHONPATH=src python -m pytest -q benchmarks/bench_serving.py
 
@@ -29,14 +30,18 @@ import pytest
 
 from repro import obs
 from repro.bench.scenarios import IndexWorld, make_scenario, play
-from repro.bench.workloads import build_workload, serving_params
-from repro.online import OnlineIndex
+from repro.bench.workloads import (
+    SERVING_K as K,
+    SERVING_SEED as SEED,
+    SERVING_WALK as WALK,
+    serving_index,
+    serving_tape,
+    serving_workload,
+    warm_stream,
+    write_tape,
+)
 from repro.persist import DurableIndex
 from repro.serve import GraphSearcher, QueryEngine
-
-N_USERS, N_QUERIES, SEED = 400, 40, 11
-K = 10
-WALK = dict(ef=32, per_config=16, budget=192)
 
 # Scenario tape rates (ops/s, 300 ops, update_cap 96). The old floors
 # timed the tape together with its drift probes; these time the tape
@@ -50,35 +55,40 @@ SCENARIO_OPS_S = {
     "deletes": 255,
 }
 
+# Ops in the timed 90/10 tape: eight passes' worth of the old 120-op
+# smoke tape, so the timed section is long enough to resolve a few
+# percent.
+TAPE_OPS = 960
+
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(N_USERS, N_QUERIES, SEED)
+    return serving_workload()
 
 
-def _build(dataset, **kwargs) -> OnlineIndex:
-    return OnlineIndex.build(
-        dataset, params=serving_params(N_USERS), backend="exact", **kwargs
-    )
-
-
-def _timed_tape(dataset, scenario, **index_kwargs) -> float:
-    """Seconds to play ``scenario`` through a partial-invalidation engine."""
-    index = _build(dataset, **index_kwargs)
+def _serving_world(dataset, **index_kwargs) -> IndexWorld:
+    """A fresh index, in-edges primed, behind a partial-invalidation engine."""
+    index = serving_index(dataset, **index_kwargs)
     index.reverse_index()  # maintained from the first write on
     engine = QueryEngine(
         index, k=K, invalidation="partial", searcher=GraphSearcher(index, **WALK)
     )
+    return IndexWorld(index, engine=engine)
+
+
+def _timed_tape(dataset, scenario, **index_kwargs) -> float:
+    """Seconds to play ``scenario`` through a fresh :func:`_serving_world`."""
+    world = _serving_world(dataset, **index_kwargs)
     t0 = time.perf_counter()
-    play(scenario, IndexWorld(index, engine=engine))
+    play(scenario, world)
     wall = time.perf_counter() - t0
-    engine.close()
+    world.engine.close()
     return wall
 
 
 def test_query_latency_and_throughput(workload):
     dataset, queries = workload
-    index = _build(dataset)
+    index = serving_index(dataset)
     searcher = GraphSearcher(index, **WALK)
     latencies = []
     for profile in queries:
@@ -94,9 +104,7 @@ def test_query_latency_and_throughput(workload):
     engine.close()
     assert cold_qps >= 315  # old floor 450
 
-    rng = np.random.default_rng(SEED)
-    pool = queries[:10]
-    stream = [pool[int(rng.integers(0, len(pool)))] for _ in range(160)]
+    stream = warm_stream(queries)
     engine = QueryEngine(index, k=K, searcher=searcher, cache_size=1024)
     t0 = time.perf_counter()
     for start in range(0, len(stream), 32):
@@ -108,45 +116,56 @@ def test_query_latency_and_throughput(workload):
 
 def test_mixed_tape_throughput(workload):
     """The 90/10 tape with incremental in-edges and partial invalidation."""
-    wall = _timed_tape(workload[0], make_scenario("mixed", 120, seed=SEED))
-    assert 120 / wall >= 840  # ops/s, old floor 1200
+    wall = _timed_tape(workload[0], serving_tape(TAPE_OPS))
+    assert TAPE_OPS / wall >= 840  # ops/s, old floor 1200
 
 
 def test_metrics_overhead(workload):
     """The telemetry layer costs at most 5% of the 90/10 tape's wall.
 
-    Each arm swaps the process-wide registry and tracer before it
-    builds its index (components capture metric handles at
-    construction), so the disabled arm runs on no-op metrics. The
-    arms alternate order rep by rep and each keeps its fastest wall,
-    so scheduler noise on one rep does not decide the reading. The
-    overhead keeps its sign.
+    Two stacks replay the same tape side by side: one built on the
+    live registry and tracer, one on no-op ones (each arm swaps the
+    process-wide pair before it builds, since components capture
+    metric handles at construction). The arms alternate op by op,
+    the order flipping at every op, and each op keeps its fastest wall
+    over the reps, so a burst of scheduler noise spoils one op of one
+    rep, not a whole arm. The overhead keeps its sign.
     """
     dataset = workload[0]
-    walls = {True: float("inf"), False: float("inf")}
+    walls = {True: np.full(TAPE_OPS, np.inf), False: np.full(TAPE_OPS, np.inf)}
     for rep in range(10):
-        for enabled in (True, False) if rep % 2 == 0 else (False, True):
+        arms = {}
+        for enabled in (True, False):
             prev_reg = obs.set_metrics(obs.MetricsRegistry(enabled=enabled))
             prev_tr = obs.set_tracer(obs.Tracer(enabled=enabled))
             try:
-                wall = _timed_tape(dataset, make_scenario("mixed", 960, seed=SEED))
+                world = _serving_world(dataset)
             finally:
                 obs.set_metrics(prev_reg)
                 obs.set_tracer(prev_tr)
-            walls[enabled] = min(walls[enabled], wall)
-    overhead_pct = (walls[True] - walls[False]) / walls[False] * 100.0
+            arms[enabled] = (world, serving_tape(TAPE_OPS).ops(world))
+        for i in range(TAPE_OPS):
+            for enabled in (True, False) if (i + rep) % 2 == 0 else (False, True):
+                world, ops = arms[enabled]
+                op = next(ops)
+                t0 = time.perf_counter()
+                world.apply(op)
+                wall = time.perf_counter() - t0
+                walls[enabled][i] = min(walls[enabled][i], wall)
+        for world, _ in arms.values():
+            world.engine.close()
+    overhead_pct = (walls[True].sum() / walls[False].sum() - 1.0) * 100.0
     assert overhead_pct <= 5.0
 
 
 def test_restart_time(workload):
     """Recovery from snapshot + WAL against the cold rebuild it replaces."""
     dataset = workload[0]
-    index = _build(dataset)
+    index = serving_index(dataset)
     index.reverse_index()
     with tempfile.TemporaryDirectory(prefix="repro-restart-") as wal_dir:
         durable = index.attach_persistence(wal_dir, checkpoint_bytes=0)
-        writes = make_scenario("mixed", 120, seed=SEED, read_fraction=0.0)
-        play(writes, IndexWorld(index))
+        play(write_tape(120), IndexWorld(index))
         durable.close()
         t0 = time.perf_counter()
         recovered = DurableIndex.recover(wal_dir)
@@ -154,7 +173,7 @@ def test_restart_time(workload):
         recovered.close()
     churned = index.dataset.snapshot()
     t0 = time.perf_counter()
-    _build(churned).reverse_index()
+    serving_index(churned).reverse_index()
     rebuild_s = time.perf_counter() - t0
     assert restart_s <= 0.357  # old ceiling 0.25
     assert rebuild_s / restart_s >= 1.4  # old speed-up floor 2

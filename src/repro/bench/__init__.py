@@ -22,11 +22,9 @@ from .runner import (
 from .workloads import (
     Workload,
     bench_scale,
-    build_workload,
     paper_workload,
     scale_split_threshold,
     scaled_c2_params,
-    serving_params,
 )
 
 __all__ = [
@@ -40,7 +38,6 @@ __all__ = [
     "SimWorld",
     "Workload",
     "bench_scale",
-    "build_workload",
     "emit",
     "make_scenario",
     "play",
@@ -53,5 +50,4 @@ __all__ = [
     "run_algorithm",
     "scale_split_threshold",
     "scaled_c2_params",
-    "serving_params",
 ]

@@ -9,10 +9,10 @@ and kept at paper values: ``b`` interacts with profile sizes (the
 probability a user lands in a given bucket is ``~|P_u|/b``) which do
 not scale, and ``t``, ``k``, ``δ``, ``ρ`` are ratios.
 
-:func:`build_workload` and :func:`serving_params` are the serving
-floors' population (``tests/test_serving_floors.py`` and
-``benchmarks/bench_serving.py``): a community-structured index plus
-held-out query profiles.
+The ``serving_*`` names and the tapes below them define the one
+workload of the serving floors (``tests/test_serving_floors.py`` and
+``benchmarks/bench_serving.py``): a community-structured index, its
+held-out queries, the walk settings and the read/write tapes.
 """
 
 from __future__ import annotations
@@ -20,19 +20,30 @@ from __future__ import annotations
 import os
 from dataclasses import dataclass
 
+import numpy as np
+
 from ..core.config import C2Params, paper_params
 from ..data.dataset import Dataset
 from ..data.registry import DEFAULT_SCALE
 from ..data.synthetic import SyntheticSpec, generate
+from ..online import OnlineIndex
+from .scenarios import Scenario, make_scenario
 
 __all__ = [
+    "SERVING_K",
+    "SERVING_PARAMS",
+    "SERVING_SEED",
+    "SERVING_WALK",
     "Workload",
     "bench_scale",
-    "build_workload",
     "paper_workload",
     "scale_split_threshold",
     "scaled_c2_params",
-    "serving_params",
+    "serving_index",
+    "serving_tape",
+    "serving_workload",
+    "warm_stream",
+    "write_tape",
 ]
 
 # Environment override so the full suite can be re-run at other scales
@@ -106,25 +117,41 @@ def paper_workload(
     )
 
 
-def build_workload(n_users: int, n_queries: int, seed: int):
-    """A serving population plus ``n_queries`` held-out query profiles.
+# ----------------------------------------------------------------------
+# The serving floors' workload (not from the paper)
+# ----------------------------------------------------------------------
 
-    Not from the paper: the serving floors' workload. Queries are
-    extra users of the same synthetic communities, so they are out of
-    the index but statistically indistinguishable from signups.
-    Returns ``(dataset, queries)``.
+#: Seed of the serving population, its warm stream and its tapes.
+SERVING_SEED = 11
+#: Result size of every serving-floor search.
+SERVING_K = 10
+#: Walk settings of every serving-floor :class:`~repro.serve.GraphSearcher`.
+SERVING_WALK = {"ef": 32, "per_config": 16, "budget": 192}
+#: C² parameters of the serving index.
+SERVING_PARAMS = C2Params(
+    k=16, n_buckets=128, n_hashes=8, split_threshold=60, seed=1
+)
+
+
+def serving_workload() -> tuple[Dataset, list[np.ndarray]]:
+    """400 users plus 40 held-out query profiles, seeded.
+
+    Queries are extra users of the same synthetic communities, so they
+    are out of the index but statistically indistinguishable from
+    signups. Returns ``(dataset, queries)``.
     """
+    n_users, n_queries = 400, 40
     spec = SyntheticSpec(
-        name=f"serve{n_users}",
+        name="serve400",
         n_users=n_users + n_queries,
-        n_items=max(400, int(0.8 * n_users)),
+        n_items=400,
         mean_profile_size=40.0,
-        n_communities=max(8, n_users // 62),
+        n_communities=8,
         community_pool_size=120,
         community_affinity=0.95,
         min_profile_size=15,
     )
-    full = generate(spec, seed=seed)
+    full = generate(spec, seed=SERVING_SEED)
     dataset = Dataset.from_profiles(
         [full.profile(u) for u in range(n_users)],
         n_items=full.n_items,
@@ -134,12 +161,36 @@ def build_workload(n_users: int, n_queries: int, seed: int):
     return dataset, queries
 
 
-def serving_params(n_users: int) -> C2Params:
-    """C² parameters of the :func:`build_workload` index."""
-    return C2Params(
-        k=16,
-        n_buckets=1024 if n_users > 2000 else 128,
-        n_hashes=8,
-        split_threshold=max(60, n_users // 16),
-        seed=1,
+def serving_index(dataset: Dataset, backend: str = "exact", **kwargs) -> OnlineIndex:
+    """An :class:`~repro.online.OnlineIndex` over ``dataset`` at :data:`SERVING_PARAMS`."""
+    return OnlineIndex.build(dataset, params=SERVING_PARAMS, backend=backend, **kwargs)
+
+
+def warm_stream(queries: list[np.ndarray]) -> list[np.ndarray]:
+    """160 seeded draws from the first 10 of ``queries`` (a cache-warm stream)."""
+    rng = np.random.default_rng(SERVING_SEED)
+    pool = queries[:10]
+    return [pool[int(rng.integers(0, len(pool)))] for _ in range(160)]
+
+
+def serving_tape(n_ops: int) -> Scenario:
+    """The 90/10 read/write tape, reads drawn from a fixed 20-query pool.
+
+    :class:`~repro.bench.scenarios.ZipfianQueries` with a flat
+    popularity law: 90% of the ops query one of 20 profiles drawn up
+    front, uniformly, so most reads after the first pass hit the
+    result cache; writes split 60/25/15 across profile updates,
+    signups and departures.
+    """
+    return make_scenario(
+        "zipf", n_ops, seed=SERVING_SEED, read_fraction=0.9, exponent=0.0,
+        pool_size=20,
+    )
+
+
+def write_tape(n_ops: int, seed: int = SERVING_SEED) -> Scenario:
+    """A write-only tape: 70/20/10 profile updates, signups, departures."""
+    return make_scenario(
+        "mixed", n_ops, seed=seed, read_fraction=0.0,
+        add_items_weight=0.7, add_user_weight=0.2, remove_user_weight=0.1,
     )

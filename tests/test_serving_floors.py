@@ -1,11 +1,12 @@
 """Serving floors at smoke size: recall, restart parity, re-split ceilings.
 
 The count and quality floors of the serving stack. Every test runs on
-the :func:`~repro.bench.workloads.build_workload` population (400
-users, 40 held-out queries, seed 11) and walks with k=10, ef=32 and a
-budget of 192 evaluations. The runs are seeded, so every bound is
-exact: a reading moves only when the code does. The wall-clock floors
-of the same runs live in ``benchmarks/bench_serving.py``.
+:func:`~repro.bench.workloads.serving_workload` (400 users, 40
+held-out queries, seed 11) and walks with ``SERVING_WALK`` (k=10,
+ef=32, a budget of 192 evaluations). The runs are seeded, so every
+bound is exact: a reading moves only when the code does. The
+wall-clock floors of the same runs live in
+``benchmarks/bench_serving.py``.
 """
 
 from __future__ import annotations
@@ -20,16 +21,20 @@ from repro.bench.scenarios import (
     make_scenario,
     play,
 )
-from repro.bench.workloads import build_workload, serving_params
+from repro.bench.workloads import (
+    SERVING_K as K,
+    SERVING_SEED as SEED,
+    SERVING_WALK as WALK,
+    serving_index,
+    serving_tape,
+    serving_workload,
+    warm_stream,
+    write_tape,
+)
 from repro.graph.heap import edge_digest
 from repro.graph.reverse import ReverseAdjacency
-from repro.online import OnlineIndex
 from repro.persist import DurableIndex
 from repro.serve import GraphSearcher, QueryEngine, brute_force_top_k
-
-N_USERS, N_QUERIES, SEED = 400, 40, 11
-K = 10
-WALK = dict(ef=32, per_config=16, budget=192)
 
 # Per scenario: worst-window recall@10 floor and re-split ceiling.
 SCENARIO_FLOORS = {
@@ -43,19 +48,13 @@ SCENARIO_FLOORS = {
 
 @pytest.fixture(scope="module")
 def workload():
-    return build_workload(N_USERS, N_QUERIES, SEED)
-
-
-def _build(dataset, backend="exact", **kwargs) -> OnlineIndex:
-    return OnlineIndex.build(
-        dataset, params=serving_params(N_USERS), backend=backend, **kwargs
-    )
+    return serving_workload()
 
 
 @pytest.fixture(scope="module")
 def index(workload):
     """A read-only index over the workload (tests must not mutate it)."""
-    return _build(workload[0])
+    return serving_index(workload[0])
 
 
 def _recall(searcher, truth_engine, queries) -> float:
@@ -74,10 +73,7 @@ def test_held_out_recall(workload, index):
 
 def test_warm_stream_walks_each_distinct_query_once(workload, index):
     """160 draws from 10 queries, in batches of 32: 10 walks in all."""
-    queries = workload[1]
-    rng = np.random.default_rng(SEED)
-    pool = queries[:10]
-    stream = [pool[int(rng.integers(0, len(pool)))] for _ in range(160)]
+    stream = warm_stream(workload[1])
     engine = QueryEngine(
         index, k=K, searcher=GraphSearcher(index, **WALK), cache_size=1024
     )
@@ -91,17 +87,12 @@ def test_warm_stream_walks_each_distinct_query_once(workload, index):
     assert stats["cache_hits_total"] + stats["dedup_hits_total"] == 150
 
 
-def test_restart_recovers_state_and_replays_only_the_tail(
-    workload, mutate, tmp_path
-):
+def test_restart_recovers_state_and_replays_only_the_tail(workload, tmp_path):
     dataset, queries = workload
-    index = _build(dataset)
+    index = serving_index(dataset)
     index.reverse_index()
     durable = index.attach_persistence(tmp_path, checkpoint_bytes=0)
-    rng = np.random.default_rng(SEED + 31)
-    mix = (0.7, 0.2, 0.1)
-    for _ in range(120):
-        mutate(index, rng, mix=mix, profile_size=20)
+    play(write_tape(120), IndexWorld(index))
     state = (index.version, edge_digest(index.graph.heaps))
     durable.close()
 
@@ -112,8 +103,7 @@ def test_restart_recovers_state_and_replays_only_the_tail(
     assert _recall(GraphSearcher(rec, **WALK), rec.engine, queries[:20]) >= 0.9
 
     checkpointed = recovered.checkpoint()
-    for _ in range(15):
-        mutate(rec, rng, mix=mix, profile_size=20)
+    play(write_tape(15, seed=SEED + 1), IndexWorld(rec))
     tail = rec.version - checkpointed
     state = (rec.version, edge_digest(rec.graph.heaps))
     recovered.close()
@@ -131,8 +121,8 @@ def test_goldfinger_rerank_recall_after_writes(workload):
     dataset, queries = workload
     indexes = {}
     for backend in ("goldfinger", "exact"):
-        indexes[backend] = _build(dataset, backend)
-        play(make_scenario("mixed", 120, seed=SEED), IndexWorld(indexes[backend]))
+        indexes[backend] = serving_index(dataset, backend)
+        play(serving_tape(120), IndexWorld(indexes[backend]))
     gf, exact = indexes["goldfinger"], indexes["exact"]
     assert gf.version == exact.version > 0
     searcher = GraphSearcher(gf, rerank="exact", **WALK)
@@ -149,12 +139,12 @@ def test_write_tape_patches_the_reverse_index(workload, monkeypatch):
         return from_heaps(heaps)
 
     monkeypatch.setattr(ReverseAdjacency, "from_heaps", staticmethod(counted))
-    index = _build(workload[0])
+    index = serving_index(workload[0])
     rev = index.reverse_index()
     engine = QueryEngine(
         index, k=K, invalidation="partial", searcher=GraphSearcher(index, **WALK)
     )
-    play(make_scenario("mixed", 120, seed=SEED), IndexWorld(index, engine=engine))
+    play(serving_tape(120), IndexWorld(index, engine=engine))
     stats = engine.stats()
     engine.close()
     assert index.version > 0 and stats["cache_misses_total"] > 0
@@ -173,7 +163,7 @@ def test_scenario_drift_floors(workload, name):
         [dataset.profile(u) for u in range(dataset.n_users)], n_items=dataset.n_items
     )
     probes = scenario.probes(initial, 20) or queries[:20]
-    index = _build(dataset, update_cap=96)
+    index = serving_index(dataset, update_cap=96)
     index.reverse_index()
     engine = QueryEngine(
         index, k=K, invalidation="partial", searcher=GraphSearcher(index, **WALK)
