@@ -4,9 +4,14 @@ Each user's neighbourhood is a fixed-capacity set of ``(neighbor,
 score)`` pairs keeping the ``k`` best distinct neighbours seen so far.
 Rows live in flat ``(n, k)`` numpy arrays (ids + scores). Every writer
 goes through :meth:`NeighborHeaps.offer`, which updates many rows at
-once with sorts along the short rows instead of keeping a real heap
-per row — the shape the greedy baselines, the C² merge and the online
-write path all need.
+once instead of keeping a real heap per row, in one of three branches
+that write the same slots: one offer per row (the online reverse
+offer) decides a full row kept in ``(-score, id)`` order against its
+last slot and shifts a winner in, with one small lexsort for the other
+rows; one row (rescores, refills) dedupes and ranks its flat candidates
+with one lexsort; a general table (the C² merge, the greedy baselines)
+groups ids with one packed value sort per row and sorts only the ``k``
+ids it keeps.
 """
 
 from __future__ import annotations
@@ -18,6 +23,7 @@ import numpy as np
 __all__ = ["NeighborHeaps", "edge_digest"]
 
 EMPTY = -1
+_VOID = np.iinfo(np.int64).max  # EMPTY's stand-in where ids are sorted: after every id
 
 
 def edge_digest(heaps: NeighborHeaps) -> int:
@@ -100,12 +106,12 @@ class NeighborHeaps:
         return row[row != EMPTY].copy()
 
     def items(self, u: int) -> tuple[np.ndarray, np.ndarray]:
-        """``(ids, scores)`` of occupied slots, sorted by score desc."""
+        """``(ids, scores)`` of occupied slots in ``(-score, id)`` order, whatever the layout."""
         row = self.ids[u]
         mask = row != EMPTY
         ids, scores = row[mask], self.scores[u][mask]
-        order = np.argsort(-scores, kind="stable")
-        return ids[order].copy(), scores[order].copy()
+        order = np.lexsort((ids, -scores))
+        return ids[order], scores[order]
 
     def min_score(self, u: int) -> float:
         """Lowest score currently kept for ``u`` (-inf if not full)."""
@@ -296,47 +302,206 @@ class NeighborHeaps:
         of each row's inserted ids, ascending, ``EMPTY``-padded. The
         journal gets each row's removals, then its adds (both by id),
         so an index replaying it always has a free slot for an add.
+
+        Three shapes share the rule: one offer per row (the online
+        reverse offer), one row (rescores, refills, Hyrec's forward
+        offers) and the general table (merge, NN-Descent, grouped
+        offers); each writes the same slots, scores and journal.
         """
         rows = np.asarray(rows, dtype=np.int64)
-        k = self.k
         offered = np.asarray(ids, dtype=np.int64)
+        scores = np.asarray(scores, dtype=np.float64)
+        if offered.shape[1] == 1:
+            return self._offer_one_each(rows, offered[:, 0], scores[:, 0])
+        if rows.size == 1:
+            return self._offer_one_row(int(rows[0]), offered[0], scores[0])
+        return self._offer_table(rows, offered, scores)
+
+    def _offer_one_each(self, rows: np.ndarray, v: np.ndarray, s: np.ndarray) -> np.ndarray:
+        """:meth:`offer` of one id ``v[i]`` at ``s[i]`` to each ``rows[i]``.
+
+        A full row already in ``(-score, id)`` order that is offered a
+        new id is decided against its last slot: the offer wins only if
+        it ranks ahead of that slot, and a winner is shifted into place,
+        evicting the last slot. Every other row (a purge hole, id
+        layout, a held or void offer) is re-laid out by one lexsort over
+        its ``k`` slots and the offer. A row gains and loses at most one
+        id, so its journal is at most one removal and one add.
+        """
+        k = self.k
+        cur, cur_s = self.ids.take(rows, axis=0), self.scores.take(rows, axis=0)
+        v = np.where(v == rows, EMPTY, v)
+        # Rows off the fast path, found by flat scans (reductions along
+        # short rows are slow): a void offer, a held offer or a hole, and
+        # a slot not ranked strictly ahead of the next one in its row.
+        slow = v == EMPTY
+        flat, flat_s = cur.ravel(), cur_s.ravel()
+        slow[((flat == v.repeat(k)) | (flat == EMPTY)).nonzero()[0] // k] = True
+        behind = (
+            (flat_s[:-1] < flat_s[1:]) | ((flat_s[:-1] == flat_s[1:]) & (flat[:-1] >= flat[1:]))
+        ).nonzero()[0]
+        slow[behind[behind % k != k - 1] // k] = True
+        last, last_s = cur[:, -1], cur_s[:, -1]
+        added = ~slow & ((s > last_s) | ((s == last_s) & (v < last)))
+        dropped = np.where(added, last, EMPTY)
+
+        w = added.nonzero()[0]
+        if w.size:
+            # The slots the offer outranks are a suffix of the row: shift
+            # it right by one (the last slot falls off) and put the offer
+            # at its head.
+            wc, wcs, wv, ws = cur[w], cur_s[w], v[w, None], s[w, None]
+            shift = (wcs < ws) | ((wcs == ws) & (wc > wv))
+            head = shift.copy()
+            head[:, 1:] ^= shift[:, :-1]
+            at, src = np.arange(w.size)[:, None], np.arange(k) - shift
+            self.ids[rows[w]] = np.where(head, wv, wc[at, src])
+            self.scores[rows[w]] = np.where(head, ws, wcs[at, src])
+
+        slow = slow.nonzero()[0]
+        if slow.size:
+            sv, ss, sc, scs = v[slow], s[slow], cur[slow], cur_s[slow]
+            hit = (sc == sv[:, None]) & (sv != EMPTY)[:, None]
+            scs = np.where(hit, np.maximum(scs, ss[:, None]), scs)
+            new = (sv != EMPTY) & ~hit.any(axis=1)
+            cand = np.concatenate([sc, np.where(new, sv, EMPTY)[:, None]], axis=1)
+            cand_s = np.concatenate([scs, np.where(new, ss, -np.inf)[:, None]], axis=1)
+            # A row over capacity is full and offered a new id: rank it by
+            # (-score, id); the rest hold at most k ids: rank by id, EMPTY last.
+            over = new & (sc.min(axis=1) != EMPTY)
+            order = np.lexsort(
+                (
+                    np.where(cand == EMPTY, _VOID, cand),
+                    np.where(over[:, None], -cand_s, 0.0),
+                ),
+                axis=1,
+            )
+            at = np.arange(slow.size)[:, None]
+            self.ids[rows[slow]] = cand[at, order[:, :k]]
+            self.scores[rows[slow]] = cand_s[at, order[:, :k]]
+            out = order[:, k]  # the id left out: EMPTY unless over
+            kept = new & (out != k)
+            added[slow] = kept
+            dropped[slow] = np.where(kept & over, cand[at[:, 0], out], EMPTY)
+
+        gained = added.nonzero()[0]
+        if self.journal is not None:
+            for u, x, old in zip(
+                rows[gained].tolist(), v[gained].tolist(), dropped[gained].tolist()
+            ):
+                if old != EMPTY:
+                    self.journal.append((u, old, False))
+                self.journal.append((u, x, True))
+        inserted = np.full((rows.size, k), EMPTY, dtype=np.int64)
+        inserted[gained, 0] = v[gained]
+        return inserted
+
+    def _offer_one_row(self, u: int, offered: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """:meth:`offer` of ``m`` ids to the single row ``u``.
+
+        The row's ids and the offers are flattened and sorted once by
+        ``(id, -score)``: the first of each id run is the distinct id
+        with its best score, already in the id layout. Only a row over
+        capacity sorts again, its distinct ids by score.
+        """
+        k = self.k
+        row, row_s = self.ids[u], self.scores[u]
+        held = row != EMPTY
+        take = (offered != EMPTY) & (offered != u)
+        cand = np.concatenate([row[held], offered[take]])
+        inserted = np.full((1, k), EMPTY, dtype=np.int64)
+        if cand.size == 0:
+            return inserted
+        cand_s = np.concatenate([row_s[held], scores[take]])
+        order = np.lexsort((-cand_s, cand))
+        cand = cand[order]
+        first = np.empty(cand.size, dtype=bool)
+        first[0] = True
+        np.not_equal(cand[1:], cand[:-1], out=first[1:])
+        starts = np.flatnonzero(first)
+        uniq, best = cand[starts], cand_s[order[starts]]
+        was_held = np.logical_or.reduceat(order < np.count_nonzero(held), starts)
+        kept = np.ones(uniq.size, dtype=bool)
+        if uniq.size > k:
+            top = np.argsort(-best, kind="stable")[:k]
+            kept[:] = False
+            kept[top] = True
+            uniq_kept, best_kept = uniq[top], best[top]
+        else:
+            uniq_kept, best_kept = uniq, best
+        n = uniq_kept.size
+        self.ids[u, :n], self.ids[u, n:] = uniq_kept, EMPTY
+        self.scores[u, :n], self.scores[u, n:] = best_kept, -np.inf
+        added = uniq[kept & ~was_held]
+        if self.journal is not None:
+            removed = uniq[was_held & ~kept].tolist()
+            self.journal.extend((u, x, False) for x in removed)
+            self.journal.extend((u, x, True) for x in added.tolist())
+        inserted[0, : added.size] = added
+        return inserted
+
+    def _offer_table(self, rows: np.ndarray, offered: np.ndarray, scores: np.ndarray) -> np.ndarray:
+        """:meth:`offer` of a general ``(r, m)`` table (merge, NN-Descent, grouped offers)."""
+        k = self.k
         # The rows' current slots come first, then the offers.
         cand = np.concatenate(
             [self.ids[rows], np.where(offered == rows[:, None], EMPTY, offered)], axis=1
         )
-        cand_scores = np.concatenate([self.scores[rows], np.asarray(scores, np.float64)], axis=1)
-        at = np.arange(rows.size)[:, None]  # row index for gathers along each row
-        # Group equal ids with one sort along each row, EMPTY last.
-        order = np.argsort(np.where(cand == EMPTY, np.iinfo(np.int64).max, cand), axis=1)
-        cand = cand[at, order]
-        first = np.ones(cand.shape, dtype=bool)
+        r, w = cand.shape
+        at = np.arange(r)[:, None]  # row index for gathers along each row
+        # Group equal ids with one value sort of (id, column) packed into
+        # an int64 (ids are row indices, far below 2**(63 - bits)): a held
+        # slot leads its group and EMPTY (as void) sorts last.
+        bits = int(w - 1).bit_length()
+        void = _VOID >> bits
+        packed = np.where(cand == EMPTY, void, cand) << bits
+        packed |= np.arange(w)
+        packed.sort(axis=1)
+        src = packed & ((1 << bits) - 1)
+        cand = packed >> bits
+        best = np.concatenate([self.scores[rows], scores], axis=1).ravel().take(src + at * w)
+        first = np.ones((r, w), dtype=bool)
         first[:, 1:] = cand[:, 1:] != cand[:, :-1]
-        starts = np.flatnonzero(first)
-        first &= cand != EMPTY
-        # Per distinct id: its best score, and whether the row held it.
-        best = np.full(cand.size, np.nan)
-        best[starts] = np.maximum.reduceat(cand_scores[at, order].ravel(), starts)
-        held = np.zeros(cand.size, dtype=bool)
-        held[starts] = np.logical_or.reduceat((order < k).ravel(), starts)
-        best, held = best.reshape(cand.shape), held.reshape(cand.shape)
+        # Per distinct id: its best score, moved to the group's head, and
+        # whether the row held it.
+        run = ~first
+        run[:, :-1] |= ~first[:, 1:]
+        run = run.ravel().nonzero()[0]  # cells of groups of two or more
+        if run.size:
+            heads = first.ravel()[run].nonzero()[0]
+            best.ravel()[run[heads]] = np.maximum.reduceat(best.ravel()[run], heads)
+        first &= cand != void
+        held = first & (src < k)
         # Rank the distinct ids: rows over capacity by (-score, id), the
-        # rest by id alone. The stable sort keeps id order among equal
-        # keys; NaN parks duplicates and padding last.
+        # rest by id alone; NaN parks duplicates and padding last. Keep
+        # the k smallest keys, ties at the k-th by id.
         over = first.sum(axis=1) > k
         key = np.where(first, np.where(over[:, None], -best, 0.0), np.nan)
-        top = np.argsort(key, axis=1, kind="stable")[:, :k]
-        filled = first[at, top]
-        kept = np.zeros(cand.shape, dtype=bool)
-        kept[at, top] = filled
-        self.ids[rows] = np.where(filled, cand[at, top], EMPTY)
-        self.scores[rows] = np.where(filled, best[at, top], -np.inf)
+        cut = np.partition(key, k - 1, axis=1)[:, k - 1 : k]
+        kept = first & ~(key > cut)  # a NaN k-th key (under k ids) keeps all
+        size = np.count_nonzero(kept, axis=1)
+        tied = (size > k).nonzero()[0]
+        if tied.size:
+            tie = key[tied] == cut[tied]
+            less = np.count_nonzero(key[tied] < cut[tied], axis=1)
+            kept[tied] &= ~(tie & (np.cumsum(tie, axis=1) > k - less[:, None]))
+            size[tied] = k
+        # The kept columns of each row, ascending, in an (r, k) table.
+        kr, kc = kept.nonzero()
+        keep = np.zeros((r, k), dtype=np.int64)
+        keep[kr, np.arange(kr.size) - np.repeat(np.cumsum(size) - size, size)] = kc
+        valid = np.arange(k) < size[:, None]
+        top = keep[at, np.argsort(np.where(valid, key[at, keep], np.nan), axis=1, kind="stable")]
+        self.ids[rows] = np.where(valid, cand[at, top], EMPTY)
+        self.scores[rows] = np.where(valid, best[at, top], -np.inf)
 
-        added = first & kept & ~held
+        added = kept & ~held
         if self.journal is not None:
             # Row-major nonzero over (row, drop/add, id) is the journal order.
-            r, adds, col = np.nonzero(np.stack([first & held & ~kept, added], axis=1))
+            jr, adds, jc = np.nonzero(np.stack([held & ~kept, added], axis=1))
             self.journal.extend(
-                zip(rows[r].tolist(), cand[r, col].tolist(), adds.astype(bool).tolist())
+                zip(rows[jr].tolist(), cand[jr, jc].tolist(), adds.astype(bool).tolist())
             )
-        slot = np.argsort(~added, axis=1, kind="stable")[:, :k]
-        return np.where(added[at, slot], cand[at, slot], EMPTY)
+        added = added[at, keep] & valid
+        slot = np.argsort(~added, axis=1, kind="stable")
+        return np.where(added[at, slot], cand[at, keep[at, slot]], EMPTY)
