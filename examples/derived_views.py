@@ -17,9 +17,7 @@ It shows the full consumer lifecycle:
 3. a random churn tape; the view tracks every mutation with zero lag;
 4. the declarative payoff: ``resync()`` from scratch reproduces the
    incrementally-maintained state exactly;
-5. ``snapshot()`` / ``hydrate()`` — checkpoint the derived state and
-   restore it elsewhere without replaying the tape;
-6. the bus's own introspection: ``views()``, ``lags()``, ``stats()``.
+5. the bus's own introspection: ``views()``, ``lags()``, ``stats()``.
 
 Run:  PYTHONPATH=src python examples/derived_views.py
 """
@@ -76,16 +74,6 @@ class ItemHolders(DerivedView):
             for item in dataset.profile(int(user)).tolist():
                 self.holders.setdefault(int(item), set()).add(int(user))
 
-    # -- optional: checkpoint instead of replay --------------------------
-    def snapshot(self):
-        """Picklable state for cross-process shipping."""
-        return {item: set(held) for item, held in self.holders.items()}
-
-    def hydrate(self, state, seq: int) -> None:
-        """Restore a checkpoint; the cursor resumes at its seq."""
-        super().hydrate(state, seq)
-        self.holders = {item: set(held) for item, held in state.items()}
-
     def top(self, n: int = 3):
         """The ``n`` most-held items, ``(item, holders)``."""
         ranked = sorted(self.holders.items(), key=lambda kv: -len(kv[1]))
@@ -133,20 +121,12 @@ def main() -> None:
 
     # 4. The declarative contract, checked: the from-scratch recipe
     #    lands on exactly the incrementally-maintained state.
-    incremental = view.snapshot()
+    incremental = {item: set(held) for item, held in view.holders.items()}
     index.deltas.resync(view)
     assert view.holders == incremental, "resync diverged from incremental!"
     print("  resync() from scratch == incrementally-maintained state ✓")
 
-    # 5. Ship the derived state without replaying the tape: checkpoint
-    #    on this side, hydrate on the other.
-    checkpoint, seq = view.snapshot(), view.seq
-    other = ItemHolders(index)
-    other.hydrate(checkpoint, seq)
-    assert other.holders == view.holders and other.seq == seq
-    print(f"  checkpoint/hydrate round-trip at seq {seq} ✓")
-
-    # 6. The bus sees every consumer the same way.
+    # 5. The bus sees every consumer the same way.
     stats = index.deltas.stats()
     print(f"\nbus: {stats['published_total']} deltas published to "
           f"{stats['views']}, lags {index.deltas.lags()}")

@@ -10,20 +10,21 @@ derived-collection abstraction, after the krt framework's
 "collections derived from collections via transformation functions,
 with the framework owning state and change propagation":
 
-* :class:`Delta` — one journal event, self-describing: seq, event
-  kind, mutated user, per-edge structural changes, profile payload,
-  re-split routing payload, and (when some consumer asked for it) the
-  scored shippable :class:`~repro.online.ReplicaDelta`.
+* :class:`Delta` — one journal event, self-describing and the only
+  mutation record: seq, event kind, mutated user, per-edge structural
+  changes, profile payload, the user's new cluster assignment, the
+  clusters the mutation opened and the re-split routing payload —
+  everything :meth:`~repro.online.OnlineIndex.apply_delta` needs to
+  replay it, which is why the WAL stores it as is.
 * :class:`DeltaBus` — owns the stream. The index publishes exactly one
   :class:`Delta` per mutation, seq-stamped monotonically; the bus
   delivers it to every registered view in priority order, keeps each
   view's cursor, reports per-view lag, and counts resyncs.
 * :class:`DerivedView` — the contract every consumer half-implemented
   before: ``apply(delta)`` (the transformation function), a persisted
-  ``seq`` cursor, a ``resync()`` recipe (rebuild the derived state
+  ``seq`` cursor, and a ``resync()`` recipe (rebuild the derived state
   from the source of truth — the answer to any event deltas cannot
-  express), and ``snapshot()``/``hydrate()`` hooks for shipping the
-  derived state across processes.
+  express).
 
 Registration is ``index.deltas.register(view)``; ``view.close()``
 detaches it.

@@ -9,11 +9,10 @@ handles everything consumers used to hand-roll: ordered delivery,
 per-view seq cursors, lag reporting, and counted resyncs.
 
 Cost model: the bus itself is O(views) pointer work per mutation. The
-one genuinely expensive export — annotating journal edges with their
-post-mutation scores into a shippable
-:class:`~repro.online.ReplicaDelta` — is only performed while at least
-one registered view declares ``needs_scored`` (the WAL, secondary
-indexes that read profile payloads).
+one costly annotation, the post-mutation score of each journaled
+edge, is not on the :class:`Delta`: the WAL view, its only consumer,
+looks it up (:meth:`~repro.graph.NeighborHeaps.edge_scores`), so an
+index with no WAL never pays for it.
 """
 
 from __future__ import annotations
@@ -47,12 +46,16 @@ class Delta:
         n_items: item-universe size after the mutation.
         resplit: payload of an online re-split (``None`` otherwise):
             ``{"config", "marks", "members", "unsplittable"}`` — the
-            final member lists of every touched cluster, which is what
-            route-keyed caches evict by.
-        replica: the scored shippable
-            :class:`~repro.online.ReplicaDelta`, present only when some
-            registered view declared ``needs_scored`` (``None``
-            otherwise — the cheap default).
+            configuration that split, the lineages newly marked split,
+            the final member lists of every touched cluster (in index
+            order, so a replay lists members identically; route-keyed
+            caches evict by them) and the clusters frozen unsplittable.
+        assign: the user's post-mutation cluster id per configuration
+            for ``add_user`` / ``add_items`` (``None`` for events that
+            do not re-route the user).
+        new_clusters: ``(config, lineage)`` keys of the clusters this
+            mutation opened, in registration order — a replay opens
+            the same cluster ids by appending them in order.
     """
 
     seq: int
@@ -63,7 +66,8 @@ class Delta:
     n_users: int = 0
     n_items: int = 0
     resplit: dict | None = None
-    replica: object | None = None
+    assign: list | None = None
+    new_clusters: list = field(default_factory=list)
 
 
 class DeltaBus:
@@ -138,12 +142,6 @@ class DeltaBus:
                 return v
         return None
 
-    @property
-    def needs_scored(self) -> bool:
-        """Whether any registered view wants the scored export."""
-        with self._lock:
-            return any(v.needs_scored for v in self._views)
-
     # ------------------------------------------------------------------
     # Delivery
     # ------------------------------------------------------------------
@@ -192,7 +190,6 @@ class DeltaBus:
             "views": [v.name for v in views],
             "published_total": self.published_total,
             "resyncs_total": self.resyncs_total,
-            "needs_scored": any(v.needs_scored for v in views),
             "lag": max(
                 (max(0, self.seq - v.seq) for v in views), default=0
             ),

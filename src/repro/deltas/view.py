@@ -3,7 +3,7 @@
 A derived view is a collection maintained *from* the mutation journal
 rather than recomputed from the index: the reverse-adjacency in-edge
 sets, a result cache's validity, the WAL's on-disk suffix, a metrics
-rollup, a secondary index. Each of those has the same four-part
+rollup, a secondary index. Each of those has the same three-part
 shape; :class:`DerivedView` names it once:
 
 * ``apply(delta)`` — the transformation function: fold one journal
@@ -16,9 +16,6 @@ shape; :class:`DerivedView` names it once:
   express: a ``rebuild`` event, a detected divergence, a gap after
   detachment. :class:`~repro.obs.JournalMetrics` was the first
   consumer written explicitly in this shape and is the template.
-* ``snapshot()`` / ``hydrate()`` — optional hooks for shipping the
-  derived state across processes (a view whose resync is expensive can
-  be checkpointed and restored instead of rebuilt).
 """
 
 from __future__ import annotations
@@ -33,20 +30,13 @@ class DerivedView:
         name: view name for lag reporting and dashboards (defaults to
             the class-level :attr:`name`, then the class name).
 
-    Class attributes subclasses tune:
-
-    * ``needs_scored`` — declare ``True`` to receive the scored
-      shippable :class:`~repro.online.ReplicaDelta` (profile payloads,
-      routing changes, edge scores) on ``delta.replica``. Export work
-      is only spent while some registered view asks for it.
-    * ``priority`` — delivery order (lower runs earlier; default 10).
-      Reserved bands: 0 for state other views may read back out of the
-      index (reverse adjacency), 90 for trailing views that read
-      their siblings' post-apply state.
+    ``priority`` is the class attribute subclasses tune: delivery
+    order (lower runs earlier; default 10). Reserved bands: 0 for state
+    other views may read back out of the index (reverse adjacency), 90
+    for trailing views that read their siblings' post-apply state.
     """
 
     name: str = ""
-    needs_scored: bool = False
     priority: int = 10
 
     def __init__(self, name: str | None = None) -> None:
@@ -78,26 +68,6 @@ class DerivedView:
         recipe.
         """
         raise NotImplementedError
-
-    def snapshot(self):
-        """Opaque picklable snapshot of the derived state (or ``None``).
-
-        Optional hook: a view whose :meth:`resync` is expensive can be
-        checkpointed with ``(view.snapshot(), view.seq)`` and restored
-        elsewhere with :meth:`hydrate` — the same economics as the
-        index's own snapshot + WAL-tail recovery.
-        """
-        return None
-
-    def hydrate(self, state, seq: int) -> None:
-        """Restore the derived state from a :meth:`snapshot` payload.
-
-        Sets the cursor to ``seq`` (the seq the snapshot was taken at);
-        the next deltas applied bring the view forward incrementally.
-        The default only restores the cursor — subclasses that
-        implement :meth:`snapshot` override the state half.
-        """
-        self.seq = int(seq)
 
     # ------------------------------------------------------------------
     # Cursor plumbing (bus side)

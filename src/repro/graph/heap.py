@@ -132,6 +132,24 @@ class NeighborHeaps:
         out, self.journal = self.journal, []
         return out
 
+    def edge_scores(self, edges) -> np.ndarray:
+        """The stored score of each added ``(u, v, added)`` edge still held.
+
+        One row-wise ``(m, k)`` comparison over a drained journal: an
+        added edge gets the score its row holds now, a removal or an
+        edge dropped again later in the same journal gets 0.0 (the
+        later drop erases it on replay). Zipped with the journal, this
+        is the ``(u, v, added, score)`` input of
+        :meth:`apply_edge_deltas`.
+        """
+        if not edges:
+            return np.zeros(0)
+        us, vs, added = np.array(edges, dtype=np.int64).T
+        hit = self.ids[us] == vs[:, None]
+        slot = hit.argmax(axis=1)  # first matching slot (0 when none)
+        found = added.astype(bool) & hit[np.arange(us.size), slot]
+        return np.where(found, self.scores[us, slot], 0.0)
+
     def grow(self, n: int) -> None:
         """Extend to ``n`` rows; new rows start empty.
 
@@ -199,12 +217,12 @@ class NeighborHeaps:
         return rows
 
     def apply_edge_deltas(self, edges) -> None:
-        """Replay shipped ``(u, v, added, score)`` deltas onto this table.
+        """Replay logged ``(u, v, added, score)`` deltas onto this table.
 
-        The replay write path: a primary journals its structural edge
-        changes, exports them (with the post-mutation score looked up
-        per added edge), and a replaying index (WAL recovery) applies
-        them here without
+        The replay write path: a live index journals its structural edge
+        changes, the WAL stores them with their post-mutation scores
+        (:meth:`edge_scores`), and a replaying index (WAL recovery)
+        applies them here without
         any capacity-eviction logic of its own — the journal already
         recorded every eviction as an explicit removal, so a free slot
         is guaranteed for every add. Raises ``ValueError`` when the
@@ -252,7 +270,7 @@ class NeighborHeaps:
                         free = row.index(EMPTY)
                     except ValueError:
                         raise ValueError(
-                            f"no free slot for shipped edge {u}->{v} "
+                            f"no free slot for logged edge {u}->{v} "
                             "(delta stream out of order or incomplete)"
                         ) from None
                     row[free] = v

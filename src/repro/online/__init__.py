@@ -7,13 +7,12 @@ budget. See :class:`OnlineIndex` for the full story.
 """
 
 from .dataset import MutableDataset
-from .index import OnlineIndex, ReplicaDelta, StaleReplicaError
+from .index import OnlineIndex, ReplayGapError
 from .router import ClusterRouter
 
 __all__ = [
     "ClusterRouter",
     "MutableDataset",
     "OnlineIndex",
-    "ReplicaDelta",
-    "StaleReplicaError",
+    "ReplayGapError",
 ]

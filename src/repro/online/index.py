@@ -40,9 +40,7 @@ balance matters more than latency.
 
 from __future__ import annotations
 
-import pickle
 import threading
-from dataclasses import dataclass, field
 from time import perf_counter
 
 import numpy as np
@@ -63,70 +61,19 @@ from ..similarity.engine import SimilarityEngine, make_engine
 from .dataset import MutableDataset
 from .router import ClusterRouter
 
-__all__ = ["OnlineIndex", "ReplicaDelta", "StaleReplicaError"]
+__all__ = ["OnlineIndex", "ReplayGapError"]
 
 
-class StaleReplicaError(RuntimeError):
-    """A replica cannot converge by deltas and must resync from a snapshot.
+class ReplayGapError(RuntimeError):
+    """The delta stream cannot be replayed onto this index.
 
-    Raised by :meth:`OnlineIndex.apply_delta` when the delta stream has
-    a gap (the replica missed a mutation) or describes a ``rebuild``
-    (which replaces the edge set wholesale, so no per-edge replay can
-    express it). The replaying index must be re-cloned from the
-    primary (or, on recovery, the log is unusable past the gap).
+    Raised by :meth:`OnlineIndex.apply_delta` on a sequence gap (a
+    mutation is missing), on a ``rebuild`` record (which replaces the
+    edge set wholesale, so no per-edge replay can express it) and on a
+    signup that lands on a different user id than it did live. The
+    replay must restart from a newer snapshot; on recovery, the log is
+    unusable past that point.
     """
-
-
-@dataclass(frozen=True)
-class ReplicaDelta:
-    """Everything a replica needs to replay one primary mutation.
-
-    The shippable (picklable) superset of a :class:`~repro.deltas.Delta`:
-    per-edge structural changes annotated with their post-mutation
-    scores, plus the profile and routing-state changes the mutation
-    made — enough for :meth:`OnlineIndex.apply_delta` to bring a
-    cloned index to the primary's exact serving state in O(|edges|)
-    work and **zero similarity evaluations**.
-
-    Attributes:
-        seq: primary index version after the mutation; replicas apply
-            deltas strictly in sequence (``seq == replica.version + 1``)
-            and skip already-reflected ones (``seq <= replica.version``,
-            e.g. a delta raced the snapshot it was cloned from).
-        event: ``add_user`` / ``add_items`` / ``remove_user`` /
-            ``refill`` / ``rebuild`` (the latter forces a resync).
-        user: the mutated user id (-1 for ``rebuild``).
-        items: profile payload — the full cleaned profile for
-            ``add_user``, the genuinely-added item ids for
-            ``add_items``, ``None`` otherwise.
-        assign: the user's post-mutation per-config cluster ids
-            (``None`` when the mutation does not re-route).
-        new_clusters: ``(config, lineage)`` keys registered by this
-            mutation, in registration order — replicas open the same
-            cluster ids by replaying appends in order.
-        edges: ``(u, v, added, score)`` structural edge changes in
-            journal order (scores of edges dropped later in the same
-            mutation are shipped as 0.0; the later drop erases them).
-        n_users: user-slot count after the mutation.
-        n_items: item-universe size after the mutation.
-        resplit: payload of a ``resplit`` event (``None`` otherwise):
-            ``{"config", "marks", "members", "unsplittable"}`` — the
-            configuration that split, the lineages newly marked split,
-            the **final member lists** of every touched cluster id (in
-            primary order, so replica member lists replay identically),
-            and the cluster ids frozen as unsplittable residuals.
-    """
-
-    seq: int
-    event: str
-    user: int
-    items: np.ndarray | None = None
-    assign: list[int] | None = None
-    new_clusters: list[tuple[int, tuple]] = field(default_factory=list)
-    edges: list[tuple[int, int, bool, float]] = field(default_factory=list)
-    n_users: int = 0
-    n_items: int = 0
-    resplit: dict | None = None
 
 
 class _ReverseView(DerivedView):
@@ -317,16 +264,16 @@ class OnlineIndex:
         self._n_notified_clusters = len(self._cluster_key)
 
     # ------------------------------------------------------------------
-    # Pickling (clones and persisted snapshots)
+    # Pickling (persisted snapshots)
     # ------------------------------------------------------------------
 
     def _bind_metrics(self, registry=None) -> None:
         """Cache the per-op mutation latency histogram handles.
 
         Bound at construction and re-bound (to the process-wide
-        registry) on unpickle — clones and recovered indexes then
-        record their ``apply_delta`` latencies into the registry of
-        whatever process they serve in.
+        registry) on unpickle — recovered indexes then record their
+        ``apply_delta`` latencies into the registry of whatever process
+        they serve in.
         """
         reg = registry if registry is not None else obs.metrics()
         self._mut_hist = {
@@ -339,12 +286,12 @@ class OnlineIndex:
 
     def __getstate__(self) -> dict:
         state = self.__dict__.copy()
-        # Registered views are bound to front-end objects in the parent
+        # Registered views are bound to front-end objects of the live
         # process, the refiller holds a back-reference, locks and
         # metric handles (they hold locks too) are not picklable; a
-        # worker's snapshot starts detached with a fresh bus. The
-        # ``_reverse`` array state itself IS shipped — only its
-        # maintaining view is recreated on load.
+        # snapshot starts detached with a fresh bus. The ``_reverse``
+        # array state itself IS pickled — only its maintaining view is
+        # recreated on load.
         state["deltas"] = None
         state["_refiller"] = None
         state["lock"] = None
@@ -410,13 +357,9 @@ class OnlineIndex:
         self.version += 1
         new_clusters = self._cluster_key[self._n_notified_clusters :]
         self._n_notified_clusters = len(self._cluster_key)
-        # The scored shippable export is the one expensive annotation;
-        # it is only built while some registered view asks for it.
-        replica = None
-        if self.deltas.needs_scored:
-            replica = self._export_delta(
-                event, user, edges, items, new_clusters, resplit
-            )
+        assign = None
+        if event in ("add_user", "add_items"):
+            assign = list(self._assign[user])
         self.deltas.publish(
             Delta(
                 seq=self.version,
@@ -427,112 +370,59 @@ class OnlineIndex:
                 n_users=self._data.n_users,
                 n_items=self._data.n_items,
                 resplit=resplit,
-                replica=replica,
+                assign=assign,
+                new_clusters=new_clusters,
             )
         )
 
-    def _export_delta(
-        self, event: str, user: int, deltas, items, new_clusters, resplit=None
-    ) -> ReplicaDelta:
-        """Annotate a drained journal into a shippable :class:`ReplicaDelta`.
-
-        Added edges are scored by looking the edge up in the
-        post-mutation heap row — one row-wise ``(m, k)`` comparison over
-        the whole drained journal; an added edge no longer present was
-        dropped later in the same journal, so its score is irrelevant —
-        the later drop delta erases it on the replica too.
-        """
-        edges: list[tuple[int, int, bool, float]] = []
-        if deltas:
-            heaps = self.graph.heaps
-            us, vs, added = np.array(deltas, dtype=np.int64).T
-            added = added.astype(bool)
-            hit = heaps.ids[us] == vs[:, None]
-            slot = hit.argmax(axis=1)  # first matching slot (0 when none)
-            found = added & hit[np.arange(us.size), slot]
-            scores = np.where(found, heaps.scores[us, slot], 0.0)
-            edges = list(
-                zip(us.tolist(), vs.tolist(), added.tolist(), scores.tolist())
-            )
-        assign = None
-        if event in ("add_user", "add_items") and 0 <= user < len(self._assign):
-            assign = list(self._assign[user])
-        return ReplicaDelta(
-            seq=self.version,
-            event=event,
-            user=int(user),
-            items=None if items is None else np.asarray(items, dtype=np.int64),
-            assign=assign,
-            new_clusters=[(int(c), tuple(lin)) for c, lin in new_clusters],
-            edges=edges,
-            n_users=self._data.n_users,
-            n_items=self._data.n_items,
-            resplit=resplit,
-        )
-
     # ------------------------------------------------------------------
-    # Snapshot clones and delta replay (WAL recovery)
+    # Delta replay (WAL recovery)
     # ------------------------------------------------------------------
 
-    def clone(self) -> "OnlineIndex":
-        """A detached deep copy of the live index (snapshot clone).
+    def apply_delta(self, delta: Delta, scores) -> bool:
+        """Replay one logged mutation on this index.
 
-        Taken under the read lock so a concurrent mutation cannot tear
-        it. The clone starts with no listeners and fresh locks (the
-        pickling contract persisted snapshots also rely on) and
-        can be brought forward mutation-by-mutation with
-        :meth:`apply_delta`, which is how WAL recovery brings a
-        snapshot forward.
-        """
-        return pickle.loads(self.snapshot_bytes())
-
-    def snapshot_bytes(self) -> bytes:
-        """The pickled form :meth:`clone` uses (and persisted snapshots store)."""
-        with self.lock.read():
-            return pickle.dumps(self)
-
-    def apply_delta(self, delta: ReplicaDelta) -> bool:
-        """Replay one shipped primary mutation on this (replica) index.
-
-        Brings a :meth:`clone` to the primary's next serving state —
-        profiles, fingerprints, routing tables, cluster membership,
-        graph edges and (if built) reverse adjacency — in O(|edges|)
-        work and zero similarity evaluations. Replica scores are exact
-        for every edge structurally changed since the clone; scores of
-        untouched edges may lag in-place rescorings, which serving
-        never reads (walks score candidates against the query).
+        ``scores`` holds the post-mutation score of each of
+        ``delta.edges`` (:meth:`~repro.graph.NeighborHeaps.edge_scores`,
+        which the WAL stores beside the delta). Brings a snapshot of
+        the index to its next serving state — profiles, fingerprints,
+        routing tables, cluster membership, graph edges and (if built)
+        reverse adjacency — in O(|edges|) work and zero similarity
+        evaluations. Scores are exact for every edge structurally
+        changed since the snapshot; scores of untouched edges may lag
+        in-place rescorings, which serving never reads (walks score
+        candidates against the query).
 
         Returns ``False`` when the delta is already reflected
         (``seq <= version`` — it raced the snapshot), ``True`` after a
-        successful replay. Raises :class:`StaleReplicaError` on a
-        sequence gap or a ``rebuild`` event; callers resync from a
-        fresh snapshot.
+        successful replay. Raises :class:`ReplayGapError` on a
+        sequence gap, a ``rebuild`` event or a signup id mismatch.
         """
         t0 = perf_counter()
         try:
-            return self._apply_delta(delta)
+            return self._apply_delta(delta, scores)
         finally:
             self._mut_hist["apply_delta"].observe(perf_counter() - t0)
 
-    def _apply_delta(self, delta: ReplicaDelta) -> bool:
+    def _apply_delta(self, delta: Delta, scores) -> bool:
         with self.lock.write():
             if delta.seq <= self.version:
                 return False
             if delta.seq != self.version + 1:
-                raise StaleReplicaError(
-                    f"delta seq {delta.seq} does not follow replica "
+                raise ReplayGapError(
+                    f"delta seq {delta.seq} does not follow index "
                     f"version {self.version}"
                 )
             if delta.event == "rebuild":
-                raise StaleReplicaError(
+                raise ReplayGapError(
                     "rebuild replaces the edge set wholesale; resync"
                 )
             event, user = delta.event, delta.user
             if event == "add_user":
                 uid = self._data.add_user(delta.items)
                 if uid != user:
-                    raise StaleReplicaError(
-                        f"shipped signup became user {uid}, expected {user}"
+                    raise ReplayGapError(
+                        f"logged signup became user {uid}, expected {user}"
                     )
                 self.engine.update_profile(uid, None)
                 self._assign.append([-1] * self.n_configs)
@@ -555,8 +445,8 @@ class OnlineIndex:
             self._n_notified_clusters = len(self._cluster_key)
             if delta.resplit is not None:
                 # Replay an online re-split: mark the lineages split so
-                # routing descends identically, then adopt the shipped
-                # final member lists wholesale (primary order — the
+                # routing descends identically, then adopt the logged
+                # final member lists wholesale (live order — the
                 # deterministic seed subsample reads positions).
                 rs = delta.resplit
                 config = int(rs["config"])
@@ -577,35 +467,25 @@ class OnlineIndex:
                         if cid >= 0:
                             self._members[cid].append(user)
                         self._assign[user][config] = cid
-            self.graph.heaps.apply_edge_deltas(delta.edges)
-            replayed = self.graph.heaps.drain_journal()
+            self.graph.heaps.apply_edge_deltas(
+                (u, v, added, score)
+                for (u, v, added), score in zip(delta.edges, scores.tolist())
+            )
+            # The replay's own journal carries the same per-(u, v)
+            # order as delta.edges, which views are given instead.
+            self.graph.heaps.drain_journal()
             if event == "remove_user":
                 active = self._data.active_mask()
                 self._degraded.update(
                     int(u)
-                    for u, v, added, _score in delta.edges
+                    for u, v, added in delta.edges
                     if not added and v == user and u != user and active[u]
                 )
             self._degraded.discard(user)
             self.version = delta.seq
-            # The replaying index's own views (its reverse adjacency,
-            # a cache, a WAL) observe the replayed mutation through its
-            # own bus. The locally
-            # replayed journal is the structural truth; the shipped
-            # scored delta rides along for any needs_scored view.
-            self.deltas.publish(
-                Delta(
-                    seq=self.version,
-                    event=event,
-                    user=int(user),
-                    edges=replayed,
-                    items=delta.items,
-                    n_users=self._data.n_users,
-                    n_items=self._data.n_items,
-                    resplit=delta.resplit,
-                    replica=delta if self.deltas.needs_scored else None,
-                )
-            )
+            # This index's own views (its reverse adjacency, a cache,
+            # a WAL) observe the replayed mutation through its own bus.
+            self.deltas.publish(delta)
             return True
 
     def attach_persistence(self, path, **kwargs):
@@ -613,8 +493,8 @@ class OnlineIndex:
 
         Convenience for :class:`repro.persist.DurableIndex`: a baseline
         snapshot is written (when the directory is fresh) and every
-        subsequent mutation's :class:`ReplicaDelta` is appended to the
-        write-ahead log through a registered WAL view, so a
+        subsequent mutation's :class:`~repro.deltas.Delta` is appended to
+        the write-ahead log through a registered WAL view, so a
         restart recovers the exact serving state with
         ``DurableIndex.recover(path)`` instead of paying a rebuild.
         Keyword arguments are forwarded (``checkpoint_bytes``,
@@ -877,8 +757,8 @@ class OnlineIndex:
 
         Called under the write lock after the mutation's own notify, so
         a re-split is journaled as its own ``resplit`` event (own
-        version, own :class:`ReplicaDelta`) and a replay applies the two
-        in the exact primary order.
+        version, own :class:`~repro.deltas.Delta`) and a replay applies
+        the two in the exact live order.
         """
         threshold = self.params.split_threshold
         if not self.auto_resplit or threshold is None or user < 0:

@@ -1,9 +1,8 @@
 """Durable serving — snapshot + delta-WAL persistence, restart recovery.
 
-The delta protocol (a ``needs_scored`` view on ``index.deltas``,
-:meth:`~repro.online.OnlineIndex.apply_delta`) already turns every
-mutation into a picklable, replayable
-:class:`~repro.online.ReplicaDelta`; this
+The delta protocol already turns every mutation into a picklable,
+replayable :class:`~repro.deltas.Delta` on ``index.deltas``
+(:meth:`~repro.online.OnlineIndex.apply_delta` replays it); this
 package points that stream at disk so a process restart recovers the
 maintained graph instead of rebuilding it:
 
@@ -12,8 +11,9 @@ maintained graph instead of rebuilding it:
   corruption raises with the offending seq;
 * :class:`SnapshotStore` — atomic write-rename checkpoint files named
   by the index version they captured;
-* :class:`DurableIndex` — attaches both to a live index through the
-  ``needs_scored`` delta view, checkpoints (and compacts the log) in the
+* :class:`DurableIndex` — attaches both to a live index through a
+  delta view that logs each delta with its edge scores, checkpoints
+  (and compacts the log) in the
   background once it outgrows a threshold, and recovers snapshot +
   WAL tail in O(|tail|) work with **zero similarity evaluations**.
 

@@ -2,19 +2,21 @@
 
 Without persistence, a process restart throws the maintained C² graph
 away and pays a full O(n·k̃) similarity rebuild before serving again.
-But the mutation stream the index already exports (the delta bus's
-scored channel) is a natural write-ahead log: each
-:class:`~repro.online.ReplicaDelta` replays on a snapshot clone in
-O(|edges|) work and **zero similarity evaluations**
+But the mutation stream the index already publishes (its delta bus)
+is a natural write-ahead log: each :class:`~repro.deltas.Delta`, with
+the post-mutation scores of its journaled edges, replays on a snapshot
+in O(|edges|) work and **zero similarity evaluations**
 (:meth:`~repro.online.OnlineIndex.apply_delta`). A restart replays the
 dead process's log onto its last snapshot.
 
 :class:`DurableIndex` wires that together:
 
-* **attach** — register a WAL view on the live index's delta bus and
-  append each delta (pickled, framed, checksummed) to a
-  :class:`~repro.persist.WriteAheadLog`; write a baseline snapshot via
-  :class:`~repro.persist.SnapshotStore` when the directory is fresh;
+* **attach** — register a WAL view on the live index's delta bus; it
+  scores each delta's edges (the only place a mutation pays for edge
+  scores) and appends ``(delta, scores)`` (pickled, framed,
+  checksummed) to a :class:`~repro.persist.WriteAheadLog`; write a
+  baseline snapshot via :class:`~repro.persist.SnapshotStore` when the
+  directory is fresh;
 * **checkpoint** — rotate the log, snapshot the index atomically, and
   compact away the segments the snapshot covers; triggered explicitly,
   in the background once the log outgrows ``checkpoint_bytes``, or
@@ -48,26 +50,44 @@ from .wal import WALError, WriteAheadLog
 
 
 class _WalView(DerivedView):
-    """The WAL's bus registration: append every scored delta to disk.
+    """The WAL's bus registration: append every delta to disk.
 
-    Declares ``needs_scored`` — the log stores the shippable
-    :class:`~repro.online.ReplicaDelta` form, which recovery replays
-    through the seq-guarded ``apply_delta``.
-    The resync recipe is a checkpoint: when deltas cannot express what
-    happened (a ``rebuild``), the snapshot *is* the durable form.
+    The record is ``(delta, scores)``: the published
+    :class:`~repro.deltas.Delta` and the post-mutation score of each of
+    its edges, which recovery replays through the seq-guarded
+    ``apply_delta``. The resync recipe is a checkpoint: when deltas
+    cannot express what happened (a ``rebuild``), the snapshot *is* the
+    durable form.
     """
 
     name = "durable_wal"
-    needs_scored = True
 
     def __init__(self, durable: "DurableIndex") -> None:
         super().__init__()
         self._durable = durable
 
     def apply(self, delta) -> None:
-        """Append one mutation to the log (runs inside the mutation)."""
-        if delta.replica is not None:
-            self._durable._on_delta(delta.replica)
+        """Append one mutation to the log (runs inside the mutation).
+
+        A ``rebuild`` replaces the edge set wholesale — no delta can
+        express it — so it checkpoints inline instead: the snapshot
+        **is** its durable form. Safe here because the index write
+        lock is read-reentrant for the mutating thread.
+        """
+        durable = self._durable
+        if durable._closed:
+            return
+        if delta.event == "rebuild":
+            durable.checkpoint()
+            return
+        scores = durable.index.graph.heaps.edge_scores(delta.edges)
+        durable.wal.append(delta.seq, pickle.dumps((delta, scores)))
+        limit = durable.checkpoint_bytes
+        if limit and durable.wal.size_bytes() >= limit:
+            if durable.background_checkpoints:
+                durable._checkpoint_async()
+            else:
+                durable.checkpoint()
 
     def resync(self) -> None:
         """Checkpoint: snapshot the live index, compact the log."""
@@ -189,27 +209,6 @@ class DurableIndex:
         """
         return self._view.lag
 
-    def _on_delta(self, delta) -> None:
-        """Append one mutation to the log (runs inside the mutation).
-
-        A ``rebuild`` replaces the edge set wholesale — no delta can
-        express it — so it checkpoints inline
-        instead: the snapshot **is** its durable form. Safe here
-        because the index write lock is read-reentrant for the
-        mutating thread.
-        """
-        if self._closed:
-            return
-        if delta.event == "rebuild":
-            self.checkpoint()
-            return
-        self.wal.append(delta.seq, pickle.dumps(delta))
-        if self.checkpoint_bytes and self.wal.size_bytes() >= self.checkpoint_bytes:
-            if self.background_checkpoints:
-                self._checkpoint_async()
-            else:
-                self.checkpoint()
-
     def _checkpoint_async(self) -> None:
         with self._cp_lock:
             if self._cp_thread is not None and self._cp_thread.is_alive():
@@ -290,7 +289,7 @@ class DurableIndex:
             WALError: no snapshot exists in ``path``.
             WALCorruptError: a committed log record failed its
                 checksum (named by seq).
-            StaleReplicaError: the log has a sequence gap the replay
+            ReplayGapError: the log has a sequence gap the replay
                 cannot bridge.
         """
         t0 = time.perf_counter()
@@ -303,7 +302,7 @@ class DurableIndex:
         before = index.engine.comparisons
         replayed = skipped = 0
         for _seq, raw in wal.replay(after_seq=index.version):
-            if index.apply_delta(pickle.loads(raw)):
+            if index.apply_delta(*pickle.loads(raw)):
                 replayed += 1
             else:
                 skipped += 1

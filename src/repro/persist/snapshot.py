@@ -1,9 +1,8 @@
 """Atomic snapshot files — the checkpoint half of durable serving.
 
-A snapshot is the pickled form an :class:`~repro.online.OnlineIndex`
-already knows how to produce
-(:meth:`~repro.online.OnlineIndex.snapshot_bytes`); this module gives
-it a crash-safe disk life. Writes go to a temporary file first and are
+A snapshot is the pickled :class:`~repro.online.OnlineIndex` (its
+``__getstate__`` drops the bus, locks and metric handles); this module
+gives it a crash-safe disk life. Writes go to a temporary file first and are
 published with ``os.replace`` — on any filesystem that's an atomic
 rename, so a reader (or a recovery after a crash mid-checkpoint)
 either sees the complete new snapshot or the complete previous one,

@@ -1,19 +1,26 @@
 """Write-ahead log for the delta stream — segmented, checksummed, replayable.
 
-Every primary mutation already exports a picklable
-:class:`~repro.online.ReplicaDelta`; this module gives that stream a
-disk form. A :class:`WriteAheadLog` appends one record per delta to an
+Every mutation already publishes a picklable
+:class:`~repro.deltas.Delta`; this module gives that stream a disk
+form. A :class:`WriteAheadLog` appends one record per delta to an
 append-only **segment file**::
 
     segment file:  MAGIC  record  record  record ...
     record:        <crc32:u32> <length:u32> <seq:u64> <payload bytes>
+
+The log itself treats payloads as opaque bytes; the durable index
+writes ``pickle((delta, scores))``, the delta and the post-mutation
+score of each of its edges. ``MAGIC`` is ``C2WAL`` plus a three-digit
+format version, bumped whenever that payload changes: a segment of
+another version raises :class:`WALError` naming both versions instead
+of failing later, inside ``pickle``.
 
 * **length-prefixed** — records are framed, so a reader never guesses
   where a pickle ends;
 * **checksummed** — the CRC covers the seq stamp *and* the payload, so
   a flipped bit anywhere in a record is caught before it is unpickled
   (:class:`WALCorruptError` names the offending seq and offset);
-* **seq-stamped** — the primary's post-mutation version rides in the
+* **seq-stamped** — the index's post-mutation version rides in the
   frame itself, so replay can skip records a snapshot already contains
   and detect gaps without deserialising anything.
 
@@ -48,7 +55,7 @@ from .. import obs
 
 __all__ = ["WALCorruptError", "WALError", "WriteAheadLog"]
 
-MAGIC = b"C2WAL001"
+MAGIC = b"C2WAL002"
 _HEADER = struct.Struct("<IIQ")  # crc32, payload length, seq
 
 
@@ -97,11 +104,18 @@ def _scan_segment(
     raises: those bytes were fully written once and are now wrong.
     """
     data = path.read_bytes()
-    if len(data) < len(MAGIC) or data[: len(MAGIC)] != MAGIC:
-        if len(data) < len(MAGIC) and tolerate_torn_tail:
+    magic = data[: len(MAGIC)]
+    if magic != MAGIC:
+        if len(magic) < len(MAGIC) and tolerate_torn_tail:
             # A segment created but torn before its magic completed
             # holds no committed records at all.
             return [], 0, True
+        if len(magic) == len(MAGIC) and magic[:5] == MAGIC[:5]:
+            raise WALError(
+                f"segment {path.name} is WAL format "
+                f"{magic[5:].decode(errors='replace')}; this version reads "
+                f"format {MAGIC[5:].decode()}"
+            )
         raise WALCorruptError("bad segment magic", path=path, offset=0)
     records: list[tuple[int, bytes]] = []
     offset = len(MAGIC)
@@ -152,7 +166,7 @@ class WriteAheadLog:
     Opening an existing directory validates the final segment, drops a
     torn tail (the crash-mid-append case), and resumes appending in a
     fresh segment. Appends are thread-safe; ``seq`` must be strictly
-    increasing (the primary's version stream already is).
+    increasing (the index's version stream already is).
 
     ``registry`` selects the :class:`~repro.obs.MetricsRegistry` for
     the append/fsync latency histograms and the size gauges (default:

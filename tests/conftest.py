@@ -2,6 +2,7 @@
 
 from __future__ import annotations
 
+import pickle
 from types import SimpleNamespace
 
 import numpy as np
@@ -64,21 +65,16 @@ def mutate():
 
 
 class _TapView(DerivedView):
-    """Calls ``fn`` with every published delta.
-
-    ``scored=True`` declares ``needs_scored`` and passes the shippable
-    :class:`~repro.online.ReplicaDelta` (``delta.replica``) instead.
-    """
+    """Calls ``fn`` with every published delta."""
 
     name = "test_tap"
 
-    def __init__(self, fn, scored: bool = False) -> None:
+    def __init__(self, fn) -> None:
         super().__init__()
         self.fn = fn
-        self.needs_scored = scored
 
     def apply(self, delta) -> None:
-        self.fn(delta.replica if self.needs_scored else delta)
+        self.fn(delta)
 
     def resync(self) -> None:
         pass
@@ -86,13 +82,40 @@ class _TapView(DerivedView):
 
 @pytest.fixture()
 def tap():
-    """``tap(index, fn, scored=False)`` registers a :class:`_TapView`.
+    """``tap(index, fn)`` registers a :class:`_TapView`.
 
     Returns the view; ``view.close()`` detaches it.
     """
-    return lambda index, fn, scored=False: index.deltas.register(
-        _TapView(fn, scored)
+    return lambda index, fn: index.deltas.register(_TapView(fn))
+
+
+@pytest.fixture()
+def wal_tap():
+    """``wal_tap(index, fn)`` calls ``fn((delta, scores))`` per mutation.
+
+    ``(delta, scores)`` is the record the WAL stores: the published
+    delta and its edges' post-mutation scores, which is what
+    ``OnlineIndex.apply_delta(*record)`` replays. Returns the view.
+    """
+    return lambda index, fn: index.deltas.register(
+        _TapView(lambda d: fn((d, index.graph.heaps.edge_scores(d.edges))))
     )
+
+
+def _clone(index):
+    """A detached deep copy of ``index``: the pickled form a snapshot stores.
+
+    Taken under the read lock so a concurrent mutation cannot tear it;
+    the copy starts with a fresh bus holding only its reverse view.
+    """
+    with index.lock.read():
+        return pickle.loads(pickle.dumps(index))
+
+
+@pytest.fixture()
+def clone():
+    """``clone(index)``, see :func:`_clone`."""
+    return _clone
 
 
 def _walk_trace(searcher, profile, **kwargs):

@@ -3,15 +3,14 @@
 Covers the framework half and its contracts:
 
 * :class:`DeltaBus` mechanics — monotonic seq stamping, priority-band
-  delivery order, register/unregister error contracts, the
-  ``needs_scored`` export economy, counted resyncs, lag reporting;
+  delivery order, register/unregister error contracts, counted
+  resyncs, lag reporting;
 * :class:`DerivedView` base behaviour — cursor adoption on register,
-  ``apply``/``resync`` must be implemented, idempotent close,
-  snapshot/hydrate cursor plumbing;
+  ``apply``/``resync`` must be implemented, idempotent close;
 * clones and pickles start with a fresh bus that carries only the
   index's own reverse-adjacency view;
 * consumer views (the engine's result cache, the WAL) attach and
-  detach, and the scored export runs only while one wants it.
+  detach, and edges are scored only while a WAL is attached.
 
 The resync-equals-incremental property per ported consumer lives in
 ``tests/test_prop_deltas.py`` (REPRO_PROP_SEED matrix).
@@ -26,8 +25,8 @@ import pytest
 
 from repro import C2Params
 from repro.deltas import Delta, DeltaBus, DerivedView
-from repro.graph import ReverseAdjacency
-from repro.online import OnlineIndex, ReplicaDelta
+from repro.graph import NeighborHeaps, ReverseAdjacency
+from repro.online import OnlineIndex
 from repro.persist import DurableIndex
 from repro.serve import QueryEngine
 
@@ -129,25 +128,27 @@ class TestDeltaBus:
         # The built-in reverse view shares the early band.
         assert names.index("early") < names.index("mid") < names.index("late")
 
-    def test_needs_scored_economy(self, index):
-        plain = index.deltas.register(_Recorder())
-        assert not index.deltas.needs_scored
+    def test_edges_are_scored_only_with_a_wal(self, index, rng, monkeypatch, tmp_path):
+        """No WAL, no scoring: a cache and a recorder read plain deltas."""
+        calls = []
+        real = NeighborHeaps.edge_scores
+
+        def counted(heaps, edges):
+            calls.append(len(edges))
+            return real(heaps, edges)
+
+        monkeypatch.setattr(NeighborHeaps, "edge_scores", counted)
+        engine = QueryEngine(index, k=K, invalidation="partial")
+        view = index.deltas.register(_Recorder())
+        _churn(index, rng, n=40)
+        for user in sorted(index.degraded)[:3]:
+            index.refill(user)
+        assert "refill" in {d.event for d in view.deltas} and calls == []
+        durable = DurableIndex(index, tmp_path, background_checkpoints=False)
         index.add_user(np.arange(6))
-        assert plain.deltas[-1].replica is None
-
-        class _Scored(_Recorder):
-            name = "scored"
-            needs_scored = True
-
-        scored = index.deltas.register(_Scored())
-        assert index.deltas.needs_scored
-        index.add_user(np.arange(6, 12))
-        assert isinstance(scored.deltas[-1].replica, ReplicaDelta)
-        assert plain.deltas[-1].replica is scored.deltas[-1].replica
-
-        scored.close()
-        index.add_user(np.arange(12, 18))
-        assert plain.deltas[-1].replica is None
+        assert calls == [len(view.deltas[-1].edges)]  # the WAL scores each delta
+        durable.close()
+        engine.close()
 
     def test_delta_describes_the_mutation(self, index):
         view = index.deltas.register(_Recorder())
@@ -159,38 +160,35 @@ class TestDeltaBus:
         assert delta.n_items == index.dataset.n_items
         assert delta.edges and all(len(e) == 3 for e in delta.edges)
         assert delta.resplit is None
+        assert delta.assign == index._assign[user]
 
     def test_scored_export_matches_per_edge_lookup(self, index, rng):
-        """The vectorised edge annotation equals the per-edge heap-row
-        lookup it replaced, value and type, on every delta of a tape."""
+        """The vectorised edge scoring equals a per-edge heap-row
+        lookup on every delta of a tape."""
 
         def per_edge(heaps, journal):
-            edges = []
+            scores = []
             for u, v, added in journal:
                 score = 0.0
                 if added:
                     slot = np.flatnonzero(heaps.ids[u] == v)
                     if slot.size:
                         score = float(heaps.scores[u, int(slot[0])])
-                edges.append((int(u), int(v), bool(added), score))
-            return edges
+                scores.append(score)
+            return scores
 
         checked = []
 
         class _Check(_Recorder):
             name = "check"
-            needs_scored = True
 
             def apply(self, delta):
                 # Delivered right after the mutation: the heap is the
-                # post-mutation state the export read.
+                # post-mutation state the WAL view scores.
                 want = per_edge(index.graph.heaps, delta.edges)
-                got = delta.replica.edges
-                assert got == want
-                assert [tuple(map(type, e)) for e in got] == [
-                    tuple(map(type, e)) for e in want
-                ]
-                checked.append(sum(1 for e in want if e[2] and e[3] != 0.0))
+                got = index.graph.heaps.edge_scores(delta.edges)
+                assert got.tolist() == want
+                checked.append(sum(1 for s in want if s != 0.0))
 
         view = index.deltas.register(_Check())
         _churn(index, rng, n=40)
@@ -213,7 +211,6 @@ class TestDeltaBus:
         assert stats["component"] == "delta_bus"
         assert stats["seq"] == index.version
         assert "recorder" in stats["views"]
-        assert stats["needs_scored"] is False
         lags = index.deltas.lags()
         assert lags["recorder"] == 0 and "reverse_adjacency" in lags
         view.seq -= 3
@@ -234,12 +231,6 @@ class TestDerivedView:
         with pytest.raises(NotImplementedError):
             view.resync()
 
-    def test_snapshot_hydrate_cursor_plumbing(self):
-        view = _Recorder()
-        assert view.snapshot() is None
-        view.hydrate(None, 41)
-        assert view.seq == 41
-
     def test_close_is_idempotent(self, index):
         view = index.deltas.register(_Recorder())
         view.close()
@@ -259,16 +250,16 @@ class TestDerivedView:
 
 
 class TestDeprecationShims:
-    def test_clone_drops_legacy_views_but_keeps_bus(self, index, rng):
+    def test_clone_drops_legacy_views_but_keeps_bus(self, index, rng, clone):
         listener = index.deltas.register(_Recorder())
-        clone = index.clone()
-        assert [v.name for v in clone.deltas.views()] == ["reverse_adjacency"]
-        clone.add_user(np.arange(8))
+        copy = clone(index)
+        assert [v.name for v in copy.deltas.views()] == ["reverse_adjacency"]
+        copy.add_user(np.arange(8))
         assert listener.deltas == []  # views never leak across the clone
         # The recreated bus still stamps and delivers on the clone.
-        view = clone.deltas.register(_Recorder())
-        _churn(clone, rng, n=10)
-        assert view.applied_total > 0 and view.seq == clone.version
+        view = copy.deltas.register(_Recorder())
+        _churn(copy, rng, n=10)
+        assert view.applied_total > 0 and view.seq == copy.version
 
     def test_pickle_roundtrip_recreates_bus(self, index):
         index.reverse_index()
@@ -303,16 +294,13 @@ class TestConsumerRegistration:
 
     def test_engine_and_wal_views_attach_and_detach(self, index, tmp_path):
         engine = QueryEngine(index, k=K, invalidation="partial")
-        assert not index.deltas.needs_scored  # a cache reads plain deltas
         durable = DurableIndex(index, tmp_path, background_checkpoints=False)
         names = [v.name for v in index.deltas.views()]
         assert "result_cache" in names and "durable_wal" in names
-        assert index.deltas.needs_scored  # the WAL wants the scored export
         durable.close()
         engine.close()
         names = [v.name for v in index.deltas.views()]
         assert "result_cache" not in names and "durable_wal" not in names
-        assert not index.deltas.needs_scored
 
 
 # ----------------------------------------------------------------------

@@ -12,7 +12,10 @@ and a small C² build (merge, local Hyrec and brute-force offers).
 The constants were recorded on the offer kernel that sorted every row
 three times, before its single-offer and one-row branches and its
 partition-based general path; a kernel change that moves one slot, one
-score bit or one journal entry fails here.
+score bit or one journal entry fails here. The WAL pin was re-recorded
+when the record format moved to ``C2WAL002`` (``(delta, scores)``
+records): decoded, its records carry the same edges, scores and
+payloads as the format-001 log did.
 """
 
 from __future__ import annotations
@@ -54,7 +57,7 @@ def test_churn_tape_slot_layout_journal_and_wal(tmp_path):
     wal = b"".join(p.read_bytes() for p in sorted(tmp_path.rglob("*.wal")))
     assert _raw_digests(index.graph.heaps) == (1633822739, 2197238935)
     assert counter.edges == 7208
-    assert (len(wal), zlib.crc32(wal)) == (171848, 4104123820)
+    assert (len(wal), zlib.crc32(wal)) == (163884, 2305051837)
 
 
 def test_c2_build_slot_layout():

@@ -17,12 +17,14 @@ The randomized state-parity property lives in
 
 from __future__ import annotations
 
+import dataclasses
 import pickle
 
 import numpy as np
 import pytest
 
 from repro import C2Params
+from repro.deltas import Delta
 from repro.online import OnlineIndex
 from repro.persist import (
     DurableIndex,
@@ -351,16 +353,38 @@ class TestDurableIndex:
             assert np.array_equal(a.ids, b.ids)
         recovered.close()
 
-    def test_wal_payloads_are_replica_deltas(self, index, tmp_path, rng):
-        from repro.online import ReplicaDelta
-
+    def test_wal_records_are_the_published_deltas(self, small_dataset, tmp_path, rng, wal_tap):
+        """Each record is ``(delta, scores)``: the published Delta and the
+        live heap's scores of its edges, on a tape with re-splits and
+        refills."""
+        params = C2Params(k=K, n_buckets=16, n_hashes=4, split_threshold=30, seed=1)
+        index = OnlineIndex.build(small_dataset, params=params)
+        published = []
+        wal_tap(index, published.append)
         durable = index.attach_persistence(tmp_path, checkpoint_bytes=0)
-        _churn(index, rng, n=5)
-        for seq, raw in durable.wal.replay():
-            delta = pickle.loads(raw)
-            assert isinstance(delta, ReplicaDelta)
-            assert delta.seq == seq
+        for _ in range(3):
+            _churn(index, rng, n=20)
+            for user in sorted(index.degraded)[:5]:
+                index.refill(user)
         durable.close()
+        logged = [(seq, pickle.loads(raw)) for seq, raw in durable.wal.replay()]
+        assert len(logged) == len(published)
+        assert {"resplit", "refill", "remove_user"} <= {d.event for d, _ in published}
+        for (seq, (delta, scores)), (live, live_scores) in zip(logged, published):
+            assert type(delta) is Delta and delta.seq == seq
+            for f in dataclasses.fields(Delta):
+                got, want = getattr(delta, f.name), getattr(live, f.name)
+                if isinstance(want, np.ndarray):
+                    assert np.array_equal(got, want)
+                else:
+                    assert got == want, f.name
+            assert np.array_equal(scores, live_scores)
+
+    def test_old_wal_format_names_its_version(self, tmp_path):
+        """A segment of the previous record format is refused by version."""
+        (tmp_path / f"{1:020d}.wal").write_bytes(b"C2WAL001" + bytes(16))
+        with pytest.raises(WALError, match="format 001.*format 002"):
+            WriteAheadLog(tmp_path)
 
     def test_context_manager_closes(self, index, tmp_path):
         with index.attach_persistence(tmp_path, checkpoint_bytes=0) as durable:

@@ -13,12 +13,12 @@ consumer of the batched path end to end: ``DurableIndex.recover()``
 (WAL replay) reproduces the primary's serving state exactly.
 
 The replay oracles then pin :meth:`OnlineIndex.apply_delta` itself on
-an :meth:`~OnlineIndex.clone` fed the primary's scored
-:class:`~repro.online.ReplicaDelta` stream (the records the WAL
-stores): a clone fed every delta is identical to the primary at every
-step, a lagging clone converges once drained, replaying a delta twice
-is a no-op, deltas older than the clone's snapshot are skipped, and a
-sequence gap raises :class:`~repro.online.StaleReplicaError`.
+a pickled clone fed the primary's ``(delta, scores)`` stream (the
+records the WAL stores): a clone fed every delta is identical to the
+primary at every step, a lagging clone converges once drained,
+replaying a delta twice is a no-op, deltas older than the clone's
+snapshot are skipped, and a sequence gap raises
+:class:`~repro.online.ReplayGapError`.
 
 The CI property matrix shifts the seed base via ``REPRO_PROP_SEED`` so
 tier-1 stays at two seeds per run but tapes vary across jobs.
@@ -34,7 +34,7 @@ from repro import C2Params
 from repro.data import SyntheticSpec, generate
 from repro.graph.heap import EMPTY, NeighborHeaps
 from repro.graph.reverse import ReverseAdjacency
-from repro.online import OnlineIndex, StaleReplicaError
+from repro.online import OnlineIndex, ReplayGapError
 from repro.persist import DurableIndex
 from repro.serve import GraphSearcher
 from repro.graph.heap import edge_digest
@@ -255,13 +255,13 @@ def test_recovery_parity_through_batched_replay(seed, tmp_path, mutate):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_replica_parity_through_batched_replay(seed, tap, mutate):
-    """A clone fed the shipped deltas converges via the batched path."""
+def test_replica_parity_through_batched_replay(seed, wal_tap, clone, mutate):
+    """A clone fed the logged deltas converges via the batched path."""
     index = _index(seed)
     index.reverse_index()
-    replica = index.clone()
+    replica = clone(index)
     replica.reverse_index()
-    feed = tap(index, lambda delta: _apply_fresh(replica, delta), scored=True)
+    feed = wal_tap(index, lambda record: _apply_fresh(replica, record))
     try:
         rng = np.random.default_rng(seed + 2000)
         for _ in range(N_OPS):
@@ -275,7 +275,7 @@ def test_replica_parity_through_batched_replay(seed, tap, mutate):
 
 
 # ----------------------------------------------------------------------
-# apply_delta replay oracles: a clone fed the scored delta stream
+# apply_delta replay oracles: a clone fed the (delta, scores) stream
 # ----------------------------------------------------------------------
 
 # A GoldFinger index, and a tail that repairs degraded rows, so refill
@@ -293,9 +293,9 @@ def _replica_index(seed):
     return OnlineIndex.build(dataset, params=params, backend="goldfinger")
 
 
-def _apply_fresh(replica, delta):
-    """Replay one delta that must be new to ``replica``."""
-    assert replica.apply_delta(delta)
+def _apply_fresh(replica, record):
+    """Replay one ``(delta, scores)`` record that must be new to ``replica``."""
+    assert replica.apply_delta(*record)
 
 
 def _random_profile(index, rng):
@@ -321,12 +321,12 @@ def _assert_state_parity(replica, primary):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_synchronous_replica_is_identical_at_every_step(seed, tap, mutate):
+def test_synchronous_replica_is_identical_at_every_step(seed, wal_tap, clone, mutate):
     primary = _replica_index(seed)
     primary.reverse_index()  # maintained on both sides from the start
-    replica = primary.clone()
+    replica = clone(primary)
     replica.reverse_index()
-    feed = tap(primary, lambda delta: _apply_fresh(replica, delta), scored=True)
+    feed = wal_tap(primary, lambda record: _apply_fresh(replica, record))
     walk_primary = GraphSearcher(primary)
     walk_replica = GraphSearcher(replica)
     rng = np.random.default_rng(seed + 600)
@@ -347,14 +347,14 @@ def test_synchronous_replica_is_identical_at_every_step(seed, tap, mutate):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lagging_replica_converges_once_drained(seed, tap, mutate):
-    """Buffer the shipped deltas, drain them in random chunks."""
+def test_lagging_replica_converges_once_drained(seed, wal_tap, clone, mutate):
+    """Buffer the logged deltas, drain them in random chunks."""
     primary = _replica_index(seed)
     primary.reverse_index()
-    replica = primary.clone()
+    replica = clone(primary)
     replica.reverse_index()
     queue = []
-    feed = tap(primary, queue.append, scored=True)
+    feed = wal_tap(primary, queue.append)
     rng = np.random.default_rng(seed + 700)
     try:
         for _ in range(N_OPS):
@@ -364,19 +364,19 @@ def test_lagging_replica_converges_once_drained(seed, tap, mutate):
                 # whatever remains buffered.
                 take = int(rng.integers(1, len(queue) + 1))
                 batch, queue[:] = queue[:take], queue[take:]
-                for delta in batch:
-                    assert replica.apply_delta(delta)
-        for delta in queue:
-            assert replica.apply_delta(delta)
+                for record in batch:
+                    assert replica.apply_delta(*record)
+        for record in queue:
+            assert replica.apply_delta(*record)
         _assert_state_parity(replica, primary)
         # Idempotence: a replayed tail (a retry after a worker hiccup)
         # changes nothing.
         replayed = []
-        replay_feed = tap(primary, replayed.append, scored=True)
+        replay_feed = wal_tap(primary, replayed.append)
         mutate(primary, np.random.default_rng(seed + 701), **_REPLICA_OPS)
-        for delta in replayed:
-            assert replica.apply_delta(delta)
-            assert not replica.apply_delta(delta)
+        for record in replayed:
+            assert replica.apply_delta(*record)
+            assert not replica.apply_delta(*record)
         _assert_state_parity(replica, primary)
         replay_feed.close()
     finally:
@@ -384,37 +384,37 @@ def test_lagging_replica_converges_once_drained(seed, tap, mutate):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_snapshot_raced_deltas_are_skipped(seed, tap, mutate):
+def test_snapshot_raced_deltas_are_skipped(seed, wal_tap, clone, mutate):
     """A delta older than the snapshot it joined must be a no-op."""
     primary = _replica_index(seed)
-    deltas = []
-    feed = tap(primary, deltas.append, scored=True)
+    records = []
+    feed = wal_tap(primary, records.append)
     rng = np.random.default_rng(seed + 800)
     try:
         for _ in range(5):
             mutate(primary, rng, **_REPLICA_OPS)
-        clone = primary.clone()  # snapshot already contains all 5
-        for delta in deltas:
-            assert not clone.apply_delta(delta)
-        _assert_state_parity(clone, primary)
+        replica = clone(primary)  # snapshot already contains all 5
+        for record in records:
+            assert not replica.apply_delta(*record)
+        _assert_state_parity(replica, primary)
     finally:
         feed.close()
 
 
-def test_clone_tracks_every_mutation_one_delta_per_version(tap):
-    """Each mutation ships exactly one scored delta, and a clone fed
-    them lands on full serving-state parity with the primary."""
+def test_clone_tracks_every_mutation_one_delta_per_version(wal_tap, clone):
+    """Each mutation publishes exactly one delta, and a clone fed their
+    records lands on full serving-state parity with the primary."""
     primary = _replica_index(_SEED_BASE)
     primary.reverse_index()  # built before the clone is taken
-    replica = primary.clone()
+    replica = clone(primary)
     start = primary.version
     applied = []
 
-    def ship(delta):
-        _apply_fresh(replica, delta)
-        applied.append(delta)
+    def ship(record):
+        _apply_fresh(replica, record)
+        applied.append(record)
 
-    feed = tap(primary, ship, scored=True)
+    feed = wal_tap(primary, ship)
     rng = np.random.default_rng(_SEED_BASE + 900)
     try:
         for _ in range(20):
@@ -435,19 +435,19 @@ def test_clone_tracks_every_mutation_one_delta_per_version(tap):
         feed.close()
 
 
-def test_stale_delta_stream_raises_and_heals(tap):
+def test_stale_delta_stream_raises_and_heals(wal_tap, clone):
     index = _replica_index(_SEED_BASE)
-    clone = index.clone()
-    deltas = []
-    feed = tap(index, deltas.append, scored=True)
+    replica = clone(index)
+    records = []
+    feed = wal_tap(index, records.append)
     try:
         index.add_user([1, 2, 3])
         index.add_user([4, 5, 6])
-        with pytest.raises(StaleReplicaError):
-            clone.apply_delta(deltas[1])  # gap: delta 0 never applied
-        assert clone.apply_delta(deltas[0])
-        assert clone.apply_delta(deltas[1])
-        assert not clone.apply_delta(deltas[1])  # idempotent skip
-        assert edge_digest(clone.graph.heaps) == edge_digest(index.graph.heaps)
+        with pytest.raises(ReplayGapError):
+            replica.apply_delta(*records[1])  # gap: delta 0 never applied
+        assert replica.apply_delta(*records[0])
+        assert replica.apply_delta(*records[1])
+        assert not replica.apply_delta(*records[1])  # idempotent skip
+        assert edge_digest(replica.graph.heaps) == edge_digest(index.graph.heaps)
     finally:
         feed.close()

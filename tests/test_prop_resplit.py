@@ -112,7 +112,7 @@ def test_resplit_partitions_match_batch_split_oracle(seed, tap):
         assert got == want
         checked.append(root)
 
-    tap(index, oracle, scored=True)
+    tap(index, oracle)
     _churn(index, seed)
     # The tape must actually have exercised the mechanism.
     assert checked and index.stats()["resplits_total"] > 0
@@ -155,14 +155,14 @@ def test_drift_curve_reads_index_stats(seed):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_lagging_replica_converges_through_resplits(seed, tap):
+def test_lagging_replica_converges_through_resplits(seed, wal_tap, clone):
     """Buffered journal deltas replay re-splits to the identical state."""
     primary = _index(seed)
     primary.reverse_index()
-    replica = primary.clone()
+    replica = clone(primary)
     replica.reverse_index()
     queue: list = []
-    tap(primary, queue.append, scored=True)
+    wal_tap(primary, queue.append)
     rng = np.random.default_rng(seed + 500)
     world = IndexWorld(primary)
     scenario = make_scenario("churn", N_OPS, seed=seed, bundle_size=60)
@@ -171,10 +171,10 @@ def test_lagging_replica_converges_through_resplits(seed, tap):
         if queue and rng.random() < 0.3:
             take = int(rng.integers(1, len(queue) + 1))
             batch, queue[:] = queue[:take], queue[take:]
-            for delta in batch:
-                assert replica.apply_delta(delta)
-    for delta in queue:
-        assert replica.apply_delta(delta)
+            for record in batch:
+                assert replica.apply_delta(*record)
+    for record in queue:
+        assert replica.apply_delta(*record)
     assert primary.stats()["resplits_total"] > 0
     assert replica.version == primary.version
     assert replica._members == primary._members

@@ -60,7 +60,7 @@ def _random_profile(index, rng):
 
 
 @pytest.mark.parametrize("seed", SEEDS)
-def test_incremental_reverse_matches_rebuild_oracle(seed, mutate):
+def test_incremental_reverse_matches_rebuild_oracle(seed, mutate, clone):
     index = _index(seed)
     incremental = GraphSearcher(index)
     index.reverse_index()  # prime: maintained through every mutation below
@@ -76,7 +76,7 @@ def test_incremental_reverse_matches_rebuild_oracle(seed, mutate):
         )
         # Behaviour: a walk on a clone whose reverse index is rebuilt
         # from its heaps answers exactly what the maintained one does.
-        rebuilt = index.clone()
+        rebuilt = clone(index)
         rebuilt._reverse = ReverseAdjacency.from_heaps(rebuilt.graph.heaps)
         profile = _random_profile(index, rng)
         a = incremental.top_k(profile, k=K)
